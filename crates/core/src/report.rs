@@ -11,7 +11,9 @@
 //! clocks deliberately: CAD-side stages (parse/translate/diff/generate)
 //! are wall-clock spans, while download and verify carry the *simulated*
 //! SelectMAP byte-cycle durations — the paper's argument is about port
-//! time, not host time.
+//! time, not host time. The board's re-decode of its fabric after each
+//! download is host work and shows as its own wall-clock
+//! `fabric_decode` stage.
 
 use crate::cache::FrameCache;
 use crate::project::JpgProject;
@@ -43,6 +45,7 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "interp_packets_total",
     "simboard_downloads_total",
     "simboard_download_bytes_total",
+    "simboard_fabric_decodes_total",
     "wire_encodes_total",
     "wire_bytes_on_wire_total",
     "wire_wholesale_fallback_total",
@@ -57,6 +60,7 @@ const STAGE_ORDER: &[&str] = &[
     "diff",
     "generate",
     "download",
+    "fabric_decode",
     "verify",
 ];
 
@@ -452,7 +456,7 @@ mod tests {
         assert!(report.mean_partial_bytes > 0);
         assert!(report.mean_partial_bytes < report.full_bytes / 2);
         assert_eq!(missing_metrics(&report), Vec::<&str>::new());
-        // All six pipeline stages appear, in canonical order.
+        // All seven pipeline stages appear, in canonical order.
         let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
         let canonical: Vec<&str> = names
             .iter()

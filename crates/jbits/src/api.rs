@@ -5,7 +5,8 @@ use crate::layout::Layout;
 use bitstream::{bitgen, Bitstream, ConfigError, Interpreter};
 use std::collections::BTreeSet;
 use virtex::{
-    ClbResource, ConfigMemory, Device, IobResource, LutId, Pip, ResourceValue, SliceId, TileCoord,
+    ClbResource, ConfigMemory, Device, IobCoord, IobResource, LutId, Pip, ResourceValue, SliceId,
+    TileCoord,
 };
 
 /// Granularity of partial-bitstream extraction.
@@ -102,14 +103,7 @@ impl Jbits {
 
     /// Get a slice resource.
     pub fn get(&mut self, tile: TileCoord, res: ClbResource) -> ResourceValue {
-        let mut bits = 0u32;
-        for i in 0..res.bit_width() {
-            let pos = self.layout.clb_resource_bit(tile, res, i);
-            if self.mem.get_bit(pos.frame, pos.bit) {
-                bits |= 1 << i;
-            }
-        }
-        ResourceValue::new(bits, res.bit_width())
+        self.layout.read_clb(&self.mem, tile, res)
     }
 
     /// Set a LUT truth table (the classic JBits call).
@@ -136,7 +130,9 @@ impl Jbits {
     pub fn set_iob(&mut self, tile: TileCoord, pad: u8, res: IobResource, value: ResourceValue) {
         assert_eq!(value.width(), res.bit_width(), "width mismatch for {res:?}");
         for i in 0..res.bit_width() {
-            let pos = self.layout.iob_resource_bit(tile, pad, res, i);
+            let pos = self
+                .layout
+                .iob_resource_bit(IobCoord::new(tile, pad), res, i);
             self.mem
                 .set_bit(pos.frame, pos.bit, (value.bits() >> i) & 1 == 1);
         }
@@ -144,14 +140,8 @@ impl Jbits {
 
     /// Get an IOB pad resource.
     pub fn get_iob(&mut self, tile: TileCoord, pad: u8, res: IobResource) -> ResourceValue {
-        let mut bits = 0u32;
-        for i in 0..res.bit_width() {
-            let pos = self.layout.iob_resource_bit(tile, pad, res, i);
-            if self.mem.get_bit(pos.frame, pos.bit) {
-                bits |= 1 << i;
-            }
-        }
-        ResourceValue::new(bits, res.bit_width())
+        self.layout
+            .read_iob(&self.mem, IobCoord::new(tile, pad), res)
     }
 
     // ----- routing -------------------------------------------------------
@@ -240,15 +230,7 @@ impl Jbits {
     /// Whether any configuration bit in `tile`'s window is set — a fast
     /// emptiness test decoders use to skip untouched tiles.
     pub fn tile_in_use(&mut self, tile: TileCoord) -> bool {
-        let (frames, row_slot) = self.layout.window_bounds(tile);
-        for f in frames {
-            for b in row_slot..row_slot + virtex::config::BITS_PER_ROW {
-                if self.mem.get_bit(f, b) {
-                    return true;
-                }
-            }
-        }
-        false
+        self.layout.tile_in_use(&self.mem, tile)
     }
 
     // ----- dirty tracking & partials --------------------------------------

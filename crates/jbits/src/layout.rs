@@ -17,10 +17,10 @@
 //! uses ~110 and the switch box ~540, asserted in tests.
 
 use std::collections::HashMap;
-use virtex::config::BITS_PER_ROW;
+use virtex::config::{Side, BITS_PER_ROW};
 use virtex::{
-    BlockType, ClbResource, ConfigGeometry, Device, IobResource, Pip, RoutingGraph, TileCoord,
-    TileKind, Wire,
+    ClbResource, ColumnKind, ConfigGeometry, ConfigMemory, Device, IobCoord, IobResource, Pip,
+    ResourceValue, RoutingGraph, TileCoord, TileKind, Wire,
 };
 
 /// CAPTURE slots per CLB tile: the four flip-flops' state, written into
@@ -38,14 +38,13 @@ pub struct BitPos {
     pub bit: usize,
 }
 
-/// Per-tile cached layout: the window plus the PIP lookup table.
-#[derive(Debug, Clone)]
+/// A tile's configuration window, computed on demand from the column
+/// table.
+#[derive(Debug, Clone, Copy)]
 struct TileWindow {
     first_frame: usize,
     frame_count: usize,
     row_slot: usize,
-    /// `(from, to) -> tile-local pip index`, sorted for binary search.
-    pips: Vec<((Wire, Wire), u32)>,
     pip_base: usize,
 }
 
@@ -64,23 +63,49 @@ impl TileWindow {
     }
 }
 
-/// The device-wide layout with a lazy per-tile cache.
+/// `(from, to) -> tile-local pip index`, sorted for binary search.
+type PipTable = Vec<((Wire, Wire), u32)>;
+
+/// The device-wide layout: a per-column frame table plus lazily built
+/// per-tile PIP lookup tables.
 #[derive(Debug)]
 pub struct Layout {
     device: Device,
     geom: ConfigGeometry,
     graph: RoutingGraph,
-    tiles: HashMap<TileCoord, TileWindow>,
+    /// `(first_frame, frame_count)` per tile column, indexed by `col + 1`:
+    /// the left IOB column, the CLB columns, then the right IOB column.
+    columns: Vec<(usize, usize)>,
+    /// First PIP bit of CLB and IOB tiles: a CLB's logic bits and four
+    /// CAPTURE slots (flip-flop snapshots for readback) come first, an
+    /// IOB's pad logic.
+    pip_base: (usize, usize),
+    /// Per-tile PIP tables, built by [`Layout::pip_pos`] only.
+    pips: HashMap<TileCoord, PipTable>,
 }
 
 impl Layout {
-    /// Build the (empty-cached) layout for `device`.
+    /// Build the layout for `device`: O(columns), no PIP table yet.
     pub fn new(device: Device) -> Self {
+        let geom = ConfigGeometry::for_device(device);
+        let clb_cols = device.geometry().clb_cols;
+        let mut columns = vec![(0, 0); clb_cols + 2];
+        for c in geom.columns() {
+            let slot = match c.kind {
+                ColumnKind::Iob(Side::Left) => 0,
+                ColumnKind::Clb(col) => col + 1,
+                ColumnKind::Iob(Side::Right) => clb_cols + 1,
+                _ => continue,
+            };
+            columns[slot] = (c.first_frame_index(), c.frame_count());
+        }
         Layout {
             device,
-            geom: ConfigGeometry::for_device(device),
+            geom,
             graph: RoutingGraph::new(device),
-            tiles: HashMap::new(),
+            columns,
+            pip_base: (ClbResource::total_bits() + CAPTURE_BITS, iob_logic_bits()),
+            pips: HashMap::new(),
         }
     }
 
@@ -99,156 +124,117 @@ impl Layout {
         &self.graph
     }
 
-    fn window(&mut self, tile: TileCoord) -> &TileWindow {
-        if !self.tiles.contains_key(&tile) {
-            let w = self.build_window(tile);
-            self.tiles.insert(tile, w);
-        }
-        &self.tiles[&tile]
-    }
-
-    fn build_window(&self, tile: TileCoord) -> TileWindow {
-        let kind = tile.kind(self.device);
-        let rows = self.device.geometry().clb_rows as i32;
-        let (col, row_slot, pip_base) = match kind {
-            TileKind::Clb => {
-                let major = self
-                    .geom
-                    .major_for_clb_col(tile.col as usize)
-                    .expect("CLB column major");
-                (
-                    self.geom.column(BlockType::Clb, major).expect("column"),
-                    self.geom.row_bit_offset(tile.row as usize),
-                    // Logic bits, then the four CAPTURE slots (flip-flop
-                    // state snapshots for readback), then PIPs.
-                    ClbResource::total_bits() + CAPTURE_BITS,
-                )
-            }
-            TileKind::IobTop | TileKind::IobBottom => {
-                let major = self
-                    .geom
-                    .major_for_clb_col(tile.col as usize)
-                    .expect("CLB column major");
-                let slot = if kind == TileKind::IobTop {
-                    0
-                } else {
-                    self.geom.row_bit_offset(rows as usize)
-                };
-                (
-                    self.geom.column(BlockType::Clb, major).expect("column"),
-                    slot,
-                    iob_logic_bits(),
-                )
-            }
-            TileKind::IobLeft | TileKind::IobRight => {
-                // IOB columns come after the CLB columns in major order:
-                // right first, then left.
-                let clb_cols = self.device.geometry().clb_cols as u8;
-                let major = if kind == TileKind::IobRight {
-                    clb_cols + 1
-                } else {
-                    clb_cols + 2
-                };
-                (
-                    self.geom.column(BlockType::Clb, major).expect("IOB column"),
-                    self.geom.row_bit_offset(tile.row as usize),
-                    iob_logic_bits(),
-                )
+    /// The tile's window. CLB tiles and top/bottom IOB tiles use their
+    /// CLB column, left/right IOB tiles the IOB columns; the row slot of
+    /// row `r` starts at bit `18 * (r + 1)`, so the top and bottom IOB
+    /// rows (`-1` and `rows`) land on the pad slots at the column ends.
+    fn window(&self, tile: TileCoord) -> TileWindow {
+        let pip_base = match tile.kind(self.device) {
+            TileKind::Clb => self.pip_base.0,
+            TileKind::IobTop | TileKind::IobBottom | TileKind::IobLeft | TileKind::IobRight => {
+                self.pip_base.1
             }
             other => panic!("tile {tile} ({other:?}) has no configuration window"),
         };
-        let mut pips: Vec<((Wire, Wire), u32)> = self
-            .graph
-            .tile_pips(tile)
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| ((p.from, p.to), i as u32))
-            .collect();
-        pips.sort_unstable_by_key(|a| a.0);
+        let (first_frame, frame_count) = self.columns[(tile.col + 1) as usize];
         TileWindow {
-            first_frame: col.first_frame_index(),
-            frame_count: col.frame_count(),
-            row_slot,
-            pips,
+            first_frame,
+            frame_count,
+            row_slot: BITS_PER_ROW * (tile.row + 1) as usize,
             pip_base,
         }
     }
 
-    /// Bit position of a slice resource in a CLB tile. The `width` bits of
-    /// the resource occupy consecutive tile-local bits.
-    pub fn clb_resource_pos(&mut self, tile: TileCoord, res: ClbResource) -> BitPos {
+    /// Position of bit `i` of a slice resource. The bits of a resource
+    /// occupy consecutive tile-local bits and may wrap onto the next frame.
+    pub fn clb_resource_bit(&self, tile: TileCoord, res: ClbResource, i: usize) -> BitPos {
         debug_assert_eq!(tile.kind(self.device), TileKind::Clb, "{tile} not a CLB");
-        let local = clb_resource_offset(res);
-        self.window(tile).local_to_pos(local)
-    }
-
-    /// Bit position of an IOB pad resource.
-    pub fn iob_resource_pos(&mut self, tile: TileCoord, pad: u8, res: IobResource) -> BitPos {
-        debug_assert!(tile.is_iob(self.device), "{tile} not an IOB tile");
-        let local = iob_resource_offset(pad, res);
-        self.window(tile).local_to_pos(local)
-    }
-
-    /// Position of bit `i` of a slice resource (multi-bit fields occupy
-    /// consecutive tile-local bits and may wrap onto the next frame).
-    pub fn clb_resource_bit(&mut self, tile: TileCoord, res: ClbResource, i: usize) -> BitPos {
         debug_assert!(i < res.bit_width());
-        let local = clb_resource_offset(res) + i;
-        self.window(tile).local_to_pos(local)
+        self.window(tile).local_to_pos(clb_resource_offset(res) + i)
     }
 
     /// Position of bit `i` of an IOB pad resource.
-    pub fn iob_resource_bit(
-        &mut self,
-        tile: TileCoord,
-        pad: u8,
-        res: IobResource,
-        i: usize,
-    ) -> BitPos {
+    pub fn iob_resource_bit(&self, io: IobCoord, res: IobResource, i: usize) -> BitPos {
+        debug_assert!(io.tile.is_iob(self.device), "{} not an IOB tile", io.tile);
         debug_assert!(i < res.bit_width());
-        let local = iob_resource_offset(pad, res) + i;
-        self.window(tile).local_to_pos(local)
+        self.window(io.tile)
+            .local_to_pos(iob_resource_offset(io.pad, res) + i)
+    }
+
+    /// Read a slice resource out of `mem`.
+    pub fn read_clb(&self, mem: &ConfigMemory, tile: TileCoord, res: ClbResource) -> ResourceValue {
+        read_field(mem, res.bit_width(), |i| {
+            self.clb_resource_bit(tile, res, i)
+        })
+    }
+
+    /// Read an IOB pad resource out of `mem`.
+    pub fn read_iob(&self, mem: &ConfigMemory, io: IobCoord, res: IobResource) -> ResourceValue {
+        read_field(mem, res.bit_width(), |i| self.iob_resource_bit(io, res, i))
     }
 
     /// Position of the CAPTURE slot for a flip-flop: `x_ff` selects FFX
     /// (true) or FFY.
-    pub fn capture_pos(&mut self, tile: TileCoord, slice: virtex::SliceId, x_ff: bool) -> BitPos {
+    pub fn capture_pos(&self, tile: TileCoord, slice: virtex::SliceId, x_ff: bool) -> BitPos {
         debug_assert_eq!(tile.kind(self.device), TileKind::Clb);
         let local = ClbResource::total_bits() + slice.index() * 2 + usize::from(!x_ff);
         self.window(tile).local_to_pos(local)
     }
 
     /// Bit position of a PIP's enable bit, or `None` if the PIP does not
-    /// exist in the fabric.
+    /// exist in the fabric. The first lookup on a tile builds and caches
+    /// its PIP table.
     pub fn pip_pos(&mut self, pip: &Pip) -> Option<BitPos> {
-        let w = self.window(pip.loc);
-        let idx = w
-            .pips
-            .binary_search_by(|(k, _)| k.cmp(&(pip.from, pip.to)))
-            .ok()?;
-        let local = w.pip_base + w.pips[idx].1 as usize;
-        Some(self.tiles[&pip.loc].local_to_pos(local))
+        let graph = &self.graph;
+        let table = self.pips.entry(pip.loc).or_insert_with(|| {
+            let pips = graph.tile_pips(pip.loc).into_iter().enumerate();
+            let mut t: Vec<_> = pips.map(|(i, p)| ((p.from, p.to), i as u32)).collect();
+            t.sort_unstable_by_key(|a| a.0);
+            t
+        });
+        let found = table.binary_search_by_key(&(pip.from, pip.to), |e| e.0);
+        let index = found.map(|i| table[i].1 as usize).ok()?;
+        Some(self.pip_bit(pip.loc, index))
     }
 
-    /// All linear frame indices belonging to `tile`'s window (the whole
-    /// column), used for column-granular partials.
-    pub fn tile_frames(&mut self, tile: TileCoord) -> std::ops::Range<usize> {
+    /// Bit position of the enable bit of PIP number `index` in `tile`'s
+    /// canonical [`RoutingGraph::tile_pips`] order — the order that
+    /// defines the bit assignment — with no table lookup.
+    pub fn pip_bit(&self, tile: TileCoord, index: usize) -> BitPos {
         let w = self.window(tile);
-        w.first_frame..w.first_frame + w.frame_count
+        w.local_to_pos(w.pip_base + index)
     }
 
-    /// The tile window's frame range and per-frame bit offset of its
-    /// 18-bit row slot — lets callers scan a tile's bits without going
-    /// through per-resource lookups.
-    pub fn window_bounds(&mut self, tile: TileCoord) -> (std::ops::Range<usize>, usize) {
+    /// The tile window's frame range (its whole column) and the
+    /// per-frame bit offset of its 18-bit row slot.
+    pub fn window_bounds(&self, tile: TileCoord) -> (std::ops::Range<usize>, usize) {
         let w = self.window(tile);
         (w.first_frame..w.first_frame + w.frame_count, w.row_slot)
     }
 
-    /// How many cached tile windows exist (test/diagnostic aid).
-    pub fn cached_tiles(&self) -> usize {
-        self.tiles.len()
+    /// Whether any bit of `tile`'s window is set in `mem`: one masked
+    /// read of the 18-bit row slot (two when it straddles a word) per
+    /// frame of the column.
+    pub fn tile_in_use(&self, mem: &ConfigMemory, tile: TileCoord) -> bool {
+        let w = self.window(tile);
+        let slot = ((1u64 << BITS_PER_ROW) - 1) << (w.row_slot % 32);
+        let (word, lo, hi) = (w.row_slot / 32, slot as u32, (slot >> 32) as u32);
+        (w.first_frame..w.first_frame + w.frame_count).any(|f| {
+            let frame = mem.frame(f);
+            frame[word] & lo != 0 || (hi != 0 && frame[word + 1] & hi != 0)
+        })
     }
+
+    /// How many tiles have a cached PIP table (test/diagnostic aid).
+    pub fn cached_tiles(&self) -> usize {
+        self.pips.len()
+    }
+}
+
+/// Read the little-endian `width`-bit field whose bit `i` sits at `pos(i)`.
+fn read_field(mem: &ConfigMemory, width: usize, pos: impl Fn(usize) -> BitPos) -> ResourceValue {
+    let bit = |p: BitPos| u32::from(mem.get_bit(p.frame, p.bit));
+    ResourceValue::new((0..width).fold(0, |acc, i| acc | bit(pos(i)) << i), width)
 }
 
 /// Tile-local bit offset of a slice resource: cumulative widths in
@@ -315,10 +301,10 @@ mod tests {
 
     #[test]
     fn resource_positions_are_unique_within_tile() {
-        let mut layout = Layout::new(Device::XCV50);
+        let layout = Layout::new(Device::XCV50);
         let tile = TileCoord::new(2, 3);
         let mut seen = std::collections::HashSet::new();
-        let w = layout.window(tile).clone();
+        let w = layout.window(tile);
         for res in ClbResource::all() {
             let off = clb_resource_offset(res);
             for i in 0..res.bit_width() {
@@ -333,7 +319,7 @@ mod tests {
         let mut layout = Layout::new(Device::XCV50);
         let tile = TileCoord::new(5, 5);
         let mut seen = std::collections::HashSet::new();
-        let w = layout.window(tile).clone();
+        let w = layout.window(tile);
         for res in ClbResource::all() {
             let off = clb_resource_offset(res);
             for i in 0..res.bit_width() {
@@ -354,14 +340,14 @@ mod tests {
 
     #[test]
     fn different_tiles_use_disjoint_windows() {
-        let mut layout = Layout::new(Device::XCV50);
+        let layout = Layout::new(Device::XCV50);
         let a = TileCoord::new(0, 0);
         let b = TileCoord::new(1, 0); // same column, next row slot
         let c = TileCoord::new(0, 1); // different column
         let res = ClbResource::new(SliceId::S0, SliceResource::CkInv);
-        let pa = layout.clb_resource_pos(a, res);
-        let pb = layout.clb_resource_pos(b, res);
-        let pc = layout.clb_resource_pos(c, res);
+        let pa = layout.clb_resource_bit(a, res, 0);
+        let pb = layout.clb_resource_bit(b, res, 0);
+        let pc = layout.clb_resource_bit(c, res, 0);
         assert_eq!(pa.frame, pb.frame, "same column, same frames");
         assert_ne!(pa.bit, pb.bit, "different row slots");
         assert_ne!(pa.frame, pc.frame, "different columns");
@@ -377,7 +363,7 @@ mod tests {
             TileCoord::new(3, -1),
             TileCoord::new(3, g.clb_cols as i32),
         ] {
-            let pos = layout.iob_resource_pos(tile, 2, IobResource::OutputEnable);
+            let pos = layout.iob_resource_bit(IobCoord::new(tile, 2), IobResource::OutputEnable, 0);
             assert!(pos.frame < layout.geometry().total_frames());
             // All pips of the tile resolve.
             for p in layout.graph().tile_pips(tile).clone() {
@@ -388,13 +374,13 @@ mod tests {
 
     #[test]
     fn top_iob_shares_column_with_clbs_below() {
-        let mut layout = Layout::new(Device::XCV50);
+        let layout = Layout::new(Device::XCV50);
         let top = TileCoord::new(-1, 5);
         let clb = TileCoord::new(0, 5);
-        let iob_pos = layout.iob_resource_pos(top, 0, IobResource::InputEnable);
+        let iob_pos = layout.iob_resource_bit(IobCoord::new(top, 0), IobResource::InputEnable, 0);
         let clb_pos =
-            layout.clb_resource_pos(clb, ClbResource::new(SliceId::S0, SliceResource::CkInv));
-        let col_frames = layout.tile_frames(clb);
+            layout.clb_resource_bit(clb, ClbResource::new(SliceId::S0, SliceResource::CkInv), 0);
+        let col_frames = layout.window_bounds(clb).0;
         assert!(col_frames.contains(&iob_pos.frame));
         assert!(col_frames.contains(&clb_pos.frame));
     }
@@ -413,12 +399,96 @@ mod tests {
 
     #[test]
     fn cache_grows_lazily() {
+        // Windows are arithmetic on the column table: logic, IOB,
+        // capture and bounds queries cache nothing.
         let mut layout = Layout::new(Device::XCV50);
+        let (clb, iob) = (TileCoord::new(0, 0), TileCoord::new(-1, 0));
+        layout.clb_resource_bit(clb, ClbResource::new(SliceId::S0, SliceResource::CkInv), 0);
+        layout.iob_resource_bit(IobCoord::new(iob, 1), IobResource::InputEnable, 0);
+        layout.capture_pos(clb, SliceId::S1, false);
+        layout.window_bounds(clb);
         assert_eq!(layout.cached_tiles(), 0);
-        layout.clb_resource_pos(
-            TileCoord::new(0, 0),
-            ClbResource::new(SliceId::S0, SliceResource::CkInv),
-        );
+        // The first PIP lookup on a tile caches exactly that tile's table.
+        let pips = layout.graph().tile_pips(clb);
+        layout.pip_pos(&pips[0]).unwrap();
+        layout.pip_pos(&pips[pips.len() - 1]).unwrap();
         assert_eq!(layout.cached_tiles(), 1);
+
+        // A whole-device emptiness sweep builds no PIP table either.
+        let layout = Layout::new(Device::XCV1000);
+        let mem = ConfigMemory::new(Device::XCV1000);
+        let tiles = virtex::grid::clb_tiles(Device::XCV1000)
+            .chain(virtex::grid::iob_tiles(Device::XCV1000));
+        assert!(!tiles.into_iter().any(|t| layout.tile_in_use(&mem, t)));
+        assert_eq!(layout.cached_tiles(), 0);
+    }
+
+    /// Reference emptiness test: every bit of the window, one by one.
+    fn tile_in_use_bitwise(layout: &Layout, mem: &ConfigMemory, tile: TileCoord) -> bool {
+        let (frames, slot) = layout.window_bounds(tile);
+        frames
+            .flat_map(|f| (slot..slot + BITS_PER_ROW).map(move |b| (f, b)))
+            .any(|(f, b)| mem.get_bit(f, b))
+    }
+
+    #[test]
+    fn masked_tile_in_use_matches_bitwise_scan() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move |n: usize| {
+            // splitmix64: seeded, dependency-free.
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        };
+        for device in Device::ALL {
+            let layout = Layout::new(device);
+            let mut mem = ConfigMemory::new(device);
+            let (total, frame_bits) = (mem.frame_count(), mem.geometry().frame_bits());
+            let g = device.geometry();
+            let (rows, cols) = (g.clb_rows as i32, g.clb_cols as i32);
+            // Every row slot of three CLB columns and both IOB columns
+            // (slots straddling a word boundary included), plus the top
+            // and bottom pad slots.
+            let mut tiles = Vec::new();
+            for row in 0..rows {
+                for col in [-1, 0, cols / 2, cols - 1, cols] {
+                    tiles.push(TileCoord::new(row, col));
+                }
+            }
+            for col in [0, cols / 2, cols - 1] {
+                tiles.extend([TileCoord::new(-1, col), TileCoord::new(rows, col)]);
+            }
+            let mut straddling = 0;
+            for tile in tiles {
+                let (frames, slot) = layout.window_bounds(tile);
+                let (first, last) = (frames.start, frames.end - 1);
+                straddling += usize::from(slot / 32 != (slot + BITS_PER_ROW - 1) / 32);
+                let inside = [
+                    (first, slot),
+                    (last, slot + BITS_PER_ROW - 1),
+                    (first + next(frames.len()), slot + next(BITS_PER_ROW)),
+                ];
+                let outside = [
+                    (first, slot.wrapping_sub(1)),
+                    (last, slot + BITS_PER_ROW),
+                    (first.wrapping_sub(1), slot + next(BITS_PER_ROW)),
+                    (last + 1, slot + next(BITS_PER_ROW)),
+                ];
+                let pokes = inside.iter().map(|&p| (p, true));
+                for ((f, b), expect) in pokes.chain(outside.iter().map(|&p| (p, false))) {
+                    if f >= total || b >= frame_bits {
+                        continue;
+                    }
+                    mem.set_bit(f, b, true);
+                    let masked = layout.tile_in_use(&mem, tile);
+                    assert_eq!(masked, tile_in_use_bitwise(&layout, &mem, tile));
+                    assert_eq!(masked, expect, "{device} {tile}: poke ({f}, {b})");
+                    mem.set_bit(f, b, false);
+                }
+            }
+            assert!(straddling > 0, "{device}: no slot straddles a word");
+        }
     }
 }

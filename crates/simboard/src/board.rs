@@ -49,8 +49,12 @@ impl SimBoard {
 
     /// Rebuild the fabric simulation from the current configuration,
     /// carrying FF state over from the previous model where slices
-    /// persist (partial-reconfiguration semantics).
+    /// persist (partial-reconfiguration semantics). Host work, so it
+    /// runs under a wall-clock `fabric_decode` span (the `download` span
+    /// carries modelled port time only).
     fn redecode(&mut self) -> Result<(), DecodeError> {
+        let _g = obs::span!("fabric_decode");
+        obs::counter!("simboard_fabric_decodes_total").inc();
         let model = FabricModel::decode(self.port.interpreter().memory())?;
         let mut next = FabricSim::new(model)?;
         if let Some(prev) = &self.sim {

@@ -8,11 +8,11 @@
 //! simulated behaviour matches the golden model, the whole
 //! flow→bitstream→device pipeline is correct end to end.
 
-use jbits::Jbits;
+use jbits::{BitPos, Layout};
 use std::collections::HashMap;
 use virtex::{
-    ClbResource, ConfigMemory, Device, IobResource, MuxSetting, SliceId, SlicePin, SliceResource,
-    TileCoord, Wire, WireKind,
+    ClbResource, ConfigMemory, Device, IobCoord, IobResource, MuxSetting, SliceId, SlicePin,
+    SliceResource, TileCoord, Wire, WireKind,
 };
 
 /// Decode failure: the configuration is not a legal circuit.
@@ -40,7 +40,7 @@ impl std::fmt::Display for DecodeError {
 impl std::error::Error for DecodeError {}
 
 /// One decoded slice.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedSlice {
     /// Tile.
     pub tile: TileCoord,
@@ -73,7 +73,7 @@ pub struct DecodedSlice {
 }
 
 /// One decoded IOB pad.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DecodedIob {
     /// Ring tile.
     pub tile: TileCoord,
@@ -86,7 +86,7 @@ pub struct DecodedIob {
 }
 
 /// A decoded configuration: everything needed to simulate the device.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FabricModel {
     /// Device decoded.
     pub device: Device,
@@ -99,12 +99,15 @@ pub struct FabricModel {
 }
 
 impl FabricModel {
-    /// Decode a configuration memory. `O(active tiles × pips per tile)`:
-    /// untouched tiles are skipped via a window emptiness test.
+    /// Decode a configuration memory, skipping tiles whose window holds
+    /// no set bit: `O(tiles)` masked word reads plus `O(tiles in use ×
+    /// pips per tile)`. Contention names the first doubly driven wire decoded.
     pub fn decode(mem: &ConfigMemory) -> Result<FabricModel, DecodeError> {
         let device = mem.device();
-        let mut jb = Jbits::from_memory(mem.clone());
-        let graph = virtex::RoutingGraph::new(device);
+        let layout = Layout::new(device);
+        let bit = |p: BitPos| mem.get_bit(p.frame, p.bit);
+        let clb = |t, s, r| layout.read_clb(mem, t, ClbResource::new(s, r)).bits();
+        let iob = |t, pad, r| layout.read_iob(mem, IobCoord::new(t, pad), r).as_bool();
         let mut model = FabricModel {
             device,
             slices: Vec::new(),
@@ -112,22 +115,18 @@ impl FabricModel {
             pips: Vec::new(),
         };
 
-        let clb_tiles: Vec<TileCoord> = virtex::grid::clb_tiles(device).collect();
-        let iob_tiles: Vec<TileCoord> = virtex::grid::iob_tiles(device).collect();
-        for tile in clb_tiles.iter().chain(&iob_tiles).copied() {
-            if !jb.tile_in_use(tile) {
-                continue;
-            }
+        let tiles = virtex::grid::clb_tiles(device).chain(virtex::grid::iob_tiles(device));
+        for tile in tiles.filter(|&t| layout.tile_in_use(mem, t)) {
             if tile.is_clb(device) {
                 for slice in SliceId::ALL {
-                    if let Some(d) = decode_slice(&mut jb, tile, slice) {
-                        model.slices.push(d);
-                    }
+                    model
+                        .slices
+                        .extend(decode_slice(tile, slice, |r| clb(tile, slice, r)));
                 }
             } else {
                 for pad in 0..virtex::routing::PADS_PER_IOB as u8 {
-                    let inbuf = jb.get_iob(tile, pad, IobResource::InputEnable).as_bool();
-                    let outbuf = jb.get_iob(tile, pad, IobResource::OutputEnable).as_bool();
+                    let inbuf = iob(tile, pad, IobResource::InputEnable);
+                    let outbuf = iob(tile, pad, IobResource::OutputEnable);
                     if inbuf || outbuf {
                         model.iobs.push(DecodedIob {
                             tile,
@@ -138,8 +137,9 @@ impl FabricModel {
                     }
                 }
             }
-            for pip in graph.tile_pips(tile) {
-                if jb.get_pip(&pip) == Some(true) {
+            // PIP `i` of the canonical order owns tile-local bit `pip_base + i`.
+            for (i, pip) in layout.graph().tile_pips(tile).into_iter().enumerate() {
+                if bit(layout.pip_bit(tile, i)) {
                     model.pips.push((pip.from, pip.to));
                 }
             }
@@ -150,7 +150,7 @@ impl FabricModel {
         for (_, to) in &model.pips {
             *driver_count.entry(*to).or_insert(0) += 1;
         }
-        if let Some((w, _)) = driver_count.iter().find(|(_, &c)| c > 1) {
+        if let Some((_, w)) = model.pips.iter().find(|(_, to)| driver_count[to] > 1) {
             return Err(DecodeError::Contention { wire: w.name() });
         }
         for s in &mut model.slices {
@@ -167,14 +167,17 @@ impl FabricModel {
     }
 }
 
-fn decode_slice(jb: &mut Jbits, tile: TileCoord, slice: SliceId) -> Option<DecodedSlice> {
-    let get = |jb: &mut Jbits, r: SliceResource| jb.get(tile, ClbResource::new(slice, r)).bits();
-    let lut_f = get(jb, SliceResource::Lut(virtex::LutId::F)) as u16;
-    let lut_g = get(jb, SliceResource::Lut(virtex::LutId::G)) as u16;
-    let ffx = get(jb, SliceResource::FfX) == 1;
-    let ffy = get(jb, SliceResource::FfY) == 1;
-    let x_on = MuxSetting::decode(get(jb, SliceResource::FxMux)) == Some(MuxSetting::Primary);
-    let y_on = MuxSetting::decode(get(jb, SliceResource::GyMux)) == Some(MuxSetting::Primary);
+fn decode_slice(
+    tile: TileCoord,
+    slice: SliceId,
+    get: impl Fn(SliceResource) -> u32,
+) -> Option<DecodedSlice> {
+    let lut_f = get(SliceResource::Lut(virtex::LutId::F)) as u16;
+    let lut_g = get(SliceResource::Lut(virtex::LutId::G)) as u16;
+    let ffx = get(SliceResource::FfX) == 1;
+    let ffy = get(SliceResource::FfY) == 1;
+    let x_on = MuxSetting::decode(get(SliceResource::FxMux)) == Some(MuxSetting::Primary);
+    let y_on = MuxSetting::decode(get(SliceResource::GyMux)) == Some(MuxSetting::Primary);
     if !(ffx || ffy || x_on || y_on) {
         return None;
     }
@@ -185,13 +188,13 @@ fn decode_slice(jb: &mut Jbits, tile: TileCoord, slice: SliceId) -> Option<Decod
         lut_g,
         ffx,
         ffy,
-        init_x: get(jb, SliceResource::InitX) == 1,
-        init_y: get(jb, SliceResource::InitY) == 1,
-        dx_bypass: get(jb, SliceResource::DxMux) == 1,
-        dy_bypass: get(jb, SliceResource::DyMux) == 1,
+        init_x: get(SliceResource::InitX) == 1,
+        init_y: get(SliceResource::InitY) == 1,
+        dx_bypass: get(SliceResource::DxMux) == 1,
+        dy_bypass: get(SliceResource::DyMux) == 1,
         x_on,
         y_on,
-        ce: MuxSetting::decode(get(jb, SliceResource::CeMux)).unwrap_or(MuxSetting::Off),
+        ce: MuxSetting::decode(get(SliceResource::CeMux)).unwrap_or(MuxSetting::Off),
         clocked: false, // filled in by decode()
     })
 }
@@ -453,6 +456,7 @@ impl FabricSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use jbits::Jbits;
     use virtex::LutId;
 
     /// Hand-build a tiny circuit with raw JBits calls: pad -> LUT(NOT) ->
@@ -584,6 +588,33 @@ mod tests {
         // Give the tile a visible slice so decode keeps it.
         let err = FabricModel::decode(jb.memory()).unwrap_err();
         assert!(matches!(err, DecodeError::Contention { .. }));
+    }
+
+    #[test]
+    fn contention_names_the_first_contended_wire_in_decode_order() {
+        let device = Device::XCV50;
+        let mut jb = Jbits::new(device);
+        let graph = virtex::RoutingGraph::new(device);
+        let pips = graph.tile_pips(TileCoord::new(2, 2));
+        // Three destinations, each driven by two enabled PIPs.
+        let mut dests = Vec::new();
+        for p in &pips {
+            let drivers: Vec<_> = pips.iter().filter(|q| q.to == p.to).take(2).collect();
+            if dests.len() < 3 && drivers.len() == 2 && !dests.contains(&p.to) {
+                for q in drivers {
+                    assert!(jb.set_pip(q, true));
+                }
+                dests.push(p.to);
+            }
+        }
+        assert_eq!(dests.len(), 3);
+        let first = pips.iter().find(|p| jb.get_pip(p) == Some(true)).unwrap();
+        let expected = DecodeError::Contention {
+            wire: first.to.name(),
+        };
+        for _ in 0..32 {
+            assert_eq!(FabricModel::decode(jb.memory()).unwrap_err(), expected);
+        }
     }
 
     #[test]
