@@ -46,6 +46,7 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "simboard_downloads_total",
     "simboard_download_bytes_total",
     "simboard_fabric_decodes_total",
+    "simboard_fabric_settle_passes_total",
     "wire_encodes_total",
     "wire_bytes_on_wire_total",
     "wire_wholesale_fallback_total",

@@ -163,14 +163,16 @@ impl Layout {
 
     /// Read a slice resource out of `mem`.
     pub fn read_clb(&self, mem: &ConfigMemory, tile: TileCoord, res: ClbResource) -> ResourceValue {
-        read_field(mem, res.bit_width(), |i| {
-            self.clb_resource_bit(tile, res, i)
-        })
+        debug_assert_eq!(tile.kind(self.device), TileKind::Clb, "{tile} not a CLB");
+        let (w, off) = (self.window(tile), clb_resource_offset(res));
+        read_field(mem, res.bit_width(), |i| w.local_to_pos(off + i))
     }
 
     /// Read an IOB pad resource out of `mem`.
     pub fn read_iob(&self, mem: &ConfigMemory, io: IobCoord, res: IobResource) -> ResourceValue {
-        read_field(mem, res.bit_width(), |i| self.iob_resource_bit(io, res, i))
+        debug_assert!(io.tile.is_iob(self.device), "{} not an IOB tile", io.tile);
+        let (w, off) = (self.window(io.tile), iob_resource_offset(io.pad, res));
+        read_field(mem, res.bit_width(), |i| w.local_to_pos(off + i))
     }
 
     /// Position of the CAPTURE slot for a flip-flop: `x_ff` selects FFX
@@ -217,18 +219,69 @@ impl Layout {
     /// frame of the column.
     pub fn tile_in_use(&self, mem: &ConfigMemory, tile: TileCoord) -> bool {
         let w = self.window(tile);
-        let slot = ((1u64 << BITS_PER_ROW) - 1) << (w.row_slot % 32);
-        let (word, lo, hi) = (w.row_slot / 32, slot as u32, (slot >> 32) as u32);
-        (w.first_frame..w.first_frame + w.frame_count).any(|f| {
-            let frame = mem.frame(f);
-            frame[word] & lo != 0 || (hi != 0 && frame[word + 1] & hi != 0)
-        })
+        (w.first_frame..w.first_frame + w.frame_count)
+            .any(|f| slot_bits(mem.frame(f), w.row_slot) != 0)
+    }
+
+    /// Every tile whose window holds a set bit, in [`virtex::grid::clb_tiles`]
+    /// then [`virtex::grid::iob_tiles`] order: one OR over each column's
+    /// frames, then one row-slot read per tile.
+    pub fn tiles_in_use(&self, mem: &ConfigMemory) -> Vec<TileCoord> {
+        let fw = mem.frame_words();
+        let mut or = vec![0u32; self.columns.len() * fw];
+        for (acc, &(first, count)) in or.chunks_mut(fw).zip(&self.columns) {
+            for frame in mem.frame_span(first, count).chunks_exact(fw) {
+                acc.iter_mut().zip(frame).for_each(|(a, w)| *a |= w);
+            }
+        }
+        let used = |t: &TileCoord| {
+            let column = &or[(t.col + 1) as usize * fw..][..fw];
+            slot_bits(column, BITS_PER_ROW * (t.row + 1) as usize) != 0
+        };
+        let tiles =
+            virtex::grid::clb_tiles(self.device).chain(virtex::grid::iob_tiles(self.device));
+        tiles.filter(used).collect()
+    }
+
+    /// Canonical PIP indices (as [`Layout::pip_bit`] numbers them) whose
+    /// enable bits are set in `mem`, ascending: a walk over the set bits
+    /// of `tile`'s window at or past its PIP base. Set bits past the
+    /// tile's last PIP are yielded too; only the routing graph knows
+    /// where the PIPs end.
+    pub fn set_pip_indices<'a>(
+        &self,
+        mem: &'a ConfigMemory,
+        tile: TileCoord,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let w = self.window(tile);
+        (w.pip_base / BITS_PER_ROW..w.frame_count)
+            .flat_map(move |minor| {
+                let mut slot = slot_bits(mem.frame(w.first_frame + minor), w.row_slot);
+                std::iter::from_fn(move || {
+                    (slot != 0).then(|| {
+                        let b = slot.trailing_zeros() as usize;
+                        slot &= slot - 1;
+                        minor * BITS_PER_ROW + b
+                    })
+                })
+            })
+            .filter_map(move |local| local.checked_sub(w.pip_base))
     }
 
     /// How many tiles have a cached PIP table (test/diagnostic aid).
     pub fn cached_tiles(&self) -> usize {
         self.pips.len()
     }
+}
+
+/// The 18-bit row slot that starts at bit `row_slot` of `frame`.
+fn slot_bits(frame: &[u32], row_slot: usize) -> u32 {
+    let (word, shift) = (row_slot / 32, row_slot % 32);
+    let mut slot = u64::from(frame[word]) >> shift;
+    if shift + BITS_PER_ROW > 32 {
+        slot |= u64::from(frame[word + 1]) << (32 - shift);
+    }
+    slot as u32 & ((1 << BITS_PER_ROW) - 1)
 }
 
 /// Read the little-endian `width`-bit field whose bit `i` sits at `pos(i)`.
@@ -421,6 +474,51 @@ mod tests {
             .chain(virtex::grid::iob_tiles(Device::XCV1000));
         assert!(!tiles.into_iter().any(|t| layout.tile_in_use(&mem, t)));
         assert_eq!(layout.cached_tiles(), 0);
+    }
+
+    #[test]
+    fn tiles_in_use_and_set_pip_indices_match_per_tile_reads() {
+        let mut state = 7u64;
+        let mut next = move |n: usize| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) % n as u64) as usize
+        };
+        for device in Device::ALL {
+            let layout = Layout::new(device);
+            let mut mem = ConfigMemory::new(device);
+            let (frames, bits) = (mem.frame_count(), mem.geometry().frame_bits());
+            let all: Vec<TileCoord> = virtex::grid::clb_tiles(device)
+                .chain(virtex::grid::iob_tiles(device))
+                .collect();
+            assert!(layout.tiles_in_use(&mem).is_empty());
+            let mut pips_found = 0;
+            for round in 0..24 {
+                // A random bit of a random tile's window (logic, PIP or
+                // past the last PIP), and now and then one anywhere.
+                let w = layout.window(all[next(all.len())]);
+                let pos = w.local_to_pos(next(w.frame_count * BITS_PER_ROW));
+                mem.set_bit(pos.frame, pos.bit, true);
+                if round % 3 == 0 {
+                    mem.set_bit(next(frames), next(bits), true);
+                }
+                let used = layout.tiles_in_use(&mem);
+                let per_tile = all.iter().filter(|&&t| layout.tile_in_use(&mem, t));
+                assert!(used.iter().eq(per_tile), "{device}");
+                for &tile in &used {
+                    let w = layout.window(tile);
+                    let bitwise = (0..w.frame_count * BITS_PER_ROW - w.pip_base).filter(|&i| {
+                        let p = layout.pip_bit(tile, i);
+                        mem.get_bit(p.frame, p.bit)
+                    });
+                    let walked: Vec<usize> = layout.set_pip_indices(&mem, tile).collect();
+                    assert!(walked.iter().copied().eq(bitwise), "{device} {tile}");
+                    pips_found += walked.len();
+                }
+            }
+            assert!(pips_found > 0, "{device}: no poke landed on a PIP bit");
+        }
     }
 
     /// Reference emptiness test: every bit of the window, one by one.

@@ -8,11 +8,12 @@
 //! simulated behaviour matches the golden model, the whole
 //! flow→bitstream→device pipeline is correct end to end.
 
-use jbits::{BitPos, Layout};
+use jbits::Layout;
 use std::collections::HashMap;
+use std::sync::{LazyLock, Mutex, PoisonError};
 use virtex::{
-    ClbResource, ConfigMemory, Device, IobCoord, IobResource, MuxSetting, SliceId, SlicePin,
-    SliceResource, TileCoord, Wire, WireKind,
+    ClbResource, ConfigMemory, Device, IobCoord, IobResource, MuxSetting, RoutingGraph, SliceId,
+    SlicePin, SliceResource, TileCoord, Wire, WireKind,
 };
 
 /// Decode failure: the configuration is not a legal circuit.
@@ -99,71 +100,131 @@ pub struct FabricModel {
 }
 
 impl FabricModel {
-    /// Decode a configuration memory, skipping tiles whose window holds
-    /// no set bit: `O(tiles)` masked word reads plus `O(tiles in use ×
-    /// pips per tile)`. Contention names the first doubly driven wire decoded.
+    /// Decode a configuration memory, reading only the bits that are set.
+    /// Tile occupancy is one OR over each column's frames plus one
+    /// row-slot read per tile. For each tile in use, slice and pad logic
+    /// is read field by field, and PIPs come from a walk over the set
+    /// bits of its window at or past the PIP base: each set bit is one
+    /// lookup in a process-wide memo of the PIPs ever seen enabled.
+    /// [`RoutingGraph::tile_pips`] runs only when a tile shows a PIP bit
+    /// the memo has not seen, once per such decode. Contention names the
+    /// first doubly driven wire decoded.
     pub fn decode(mem: &ConfigMemory) -> Result<FabricModel, DecodeError> {
-        let device = mem.device();
-        let layout = Layout::new(device);
-        let bit = |p: BitPos| mem.get_bit(p.frame, p.bit);
-        let clb = |t, s, r| layout.read_clb(mem, t, ClbResource::new(s, r)).bits();
-        let iob = |t, pad, r| layout.read_iob(mem, IobCoord::new(t, pad), r).as_bool();
-        let mut model = FabricModel {
-            device,
-            slices: Vec::new(),
-            iobs: Vec::new(),
-            pips: Vec::new(),
-        };
+        static MEMO: LazyLock<Mutex<PipMemo>> = LazyLock::new(Default::default);
+        decode_with(mem, &MEMO)
+    }
+}
 
-        let tiles = virtex::grid::clb_tiles(device).chain(virtex::grid::iob_tiles(device));
-        for tile in tiles.filter(|&t| layout.tile_in_use(mem, t)) {
-            if tile.is_clb(device) {
-                for slice in SliceId::ALL {
-                    model
-                        .slices
-                        .extend(decode_slice(tile, slice, |r| clb(tile, slice, r)));
+fn decode_with(mem: &ConfigMemory, memo: &Mutex<PipMemo>) -> Result<FabricModel, DecodeError> {
+    let device = mem.device();
+    let layout = Layout::new(device);
+    let clb = |t, s, r| layout.read_clb(mem, t, ClbResource::new(s, r)).bits();
+    let iob = |t, pad, r| layout.read_iob(mem, IobCoord::new(t, pad), r).as_bool();
+    let mut model = FabricModel {
+        device,
+        slices: Vec::new(),
+        iobs: Vec::new(),
+        pips: Vec::new(),
+    };
+
+    let mut indices = Vec::new();
+    for tile in layout.tiles_in_use(mem) {
+        if tile.is_clb(device) {
+            for slice in SliceId::ALL {
+                model
+                    .slices
+                    .extend(decode_slice(tile, slice, |r| clb(tile, slice, r)));
+            }
+        } else {
+            for pad in 0..virtex::routing::PADS_PER_IOB as u8 {
+                let inbuf = iob(tile, pad, IobResource::InputEnable);
+                let outbuf = iob(tile, pad, IobResource::OutputEnable);
+                if inbuf || outbuf {
+                    model.iobs.push(DecodedIob {
+                        tile,
+                        pad,
+                        inbuf,
+                        outbuf,
+                    });
                 }
-            } else {
-                for pad in 0..virtex::routing::PADS_PER_IOB as u8 {
-                    let inbuf = iob(tile, pad, IobResource::InputEnable);
-                    let outbuf = iob(tile, pad, IobResource::OutputEnable);
-                    if inbuf || outbuf {
-                        model.iobs.push(DecodedIob {
-                            tile,
-                            pad,
-                            inbuf,
-                            outbuf,
-                        });
+            }
+        }
+        indices.clear();
+        indices.extend(layout.set_pip_indices(mem, tile).map(|i| i as u32));
+        if !indices.is_empty() {
+            // Each memo update only adds a correct entry, so a panic that
+            // poisoned the lock left the memo valid.
+            let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+            memo.resolve(layout.graph(), tile, &indices, &mut model.pips);
+        }
+    }
+
+    // Clock connectivity + contention check.
+    let mut driver_count: HashMap<Wire, u32> = HashMap::new();
+    for (_, to) in &model.pips {
+        *driver_count.entry(*to).or_insert(0) += 1;
+    }
+    if let Some((_, w)) = model.pips.iter().find(|(_, to)| driver_count[to] > 1) {
+        return Err(DecodeError::Contention { wire: w.name() });
+    }
+    for s in &mut model.slices {
+        let clk = Wire::new(
+            s.tile,
+            WireKind::SlicePin {
+                slice: s.slice,
+                pin: SlicePin::Clk,
+            },
+        );
+        s.clocked = driver_count.contains_key(&clk);
+    }
+    Ok(model)
+}
+
+/// What decoding has learnt from [`RoutingGraph::tile_pips`]: the ends of
+/// every PIP ever seen enabled, and the PIP count of every tile whose
+/// list was built. Whole per-tile lists are not kept; they would cost
+/// far more memory than the few PIPs a design enables.
+#[derive(Debug, Default)]
+struct PipMemo {
+    /// `(from, to)` by `(device, tile, canonical PIP index)`.
+    pips: HashMap<(Device, TileCoord, u32), (Wire, Wire)>,
+    /// PIP count by tile: set window bits at or past it are not PIPs.
+    counts: HashMap<(Device, TileCoord), u32>,
+    /// `tile_pips` runs so far.
+    builds: u64,
+}
+
+impl PipMemo {
+    /// Append the `(from, to)` of `tile`'s set PIP bits `indices`
+    /// (ascending canonical indices) to `out`, skipping bits past the
+    /// tile's last PIP. A bit the memo cannot place builds the tile's
+    /// PIP list once and records every index of this call.
+    fn resolve(
+        &mut self,
+        graph: &RoutingGraph,
+        tile: TileCoord,
+        indices: &[u32],
+        out: &mut Vec<(Wire, Wire)>,
+    ) {
+        let device = graph.device();
+        let len = out.len();
+        for &i in indices {
+            if let Some(&pip) = self.pips.get(&(device, tile, i)) {
+                out.push(pip);
+            } else if self.counts.get(&(device, tile)).is_none_or(|&n| i < n) {
+                out.truncate(len);
+                let pips = graph.tile_pips(tile);
+                self.builds += 1;
+                self.counts.insert((device, tile), pips.len() as u32);
+                for &i in indices {
+                    if let Some(p) = pips.get(i as usize) {
+                        self.pips.insert((device, tile, i), (p.from, p.to));
+                        out.push((p.from, p.to));
                     }
                 }
-            }
-            // PIP `i` of the canonical order owns tile-local bit `pip_base + i`.
-            for (i, pip) in layout.graph().tile_pips(tile).into_iter().enumerate() {
-                if bit(layout.pip_bit(tile, i)) {
-                    model.pips.push((pip.from, pip.to));
-                }
+                return;
             }
         }
-
-        // Clock connectivity + contention check.
-        let mut driver_count: HashMap<Wire, u32> = HashMap::new();
-        for (_, to) in &model.pips {
-            *driver_count.entry(*to).or_insert(0) += 1;
-        }
-        if let Some((_, w)) = model.pips.iter().find(|(_, to)| driver_count[to] > 1) {
-            return Err(DecodeError::Contention { wire: w.name() });
-        }
-        for s in &mut model.slices {
-            let clk = Wire::new(
-                s.tile,
-                WireKind::SlicePin {
-                    slice: s.slice,
-                    pin: SlicePin::Clk,
-                },
-            );
-            s.clocked = driver_count.contains_key(&clk);
-        }
-        Ok(model)
     }
 }
 
@@ -199,28 +260,126 @@ fn decode_slice(
     })
 }
 
-/// The running simulation of a decoded fabric.
+/// The running simulation of a decoded fabric, compiled to a dense
+/// netlist. [`FabricSim::new`] interns every wire the model touches (PIP
+/// ends, slice pins, input-buffered pads) into an array index once, so a
+/// settle pass costs `O(pads + slices + PIPs)` array reads and writes
+/// with no hashing and no allocation, and a settle runs at most
+/// `#PIPs + #slices + 2` passes.
 #[derive(Debug, Clone)]
 pub struct FabricSim {
     model: FabricModel,
-    /// External value applied to each pad.
-    pad_in: HashMap<(TileCoord, u8), bool>,
+    /// Dense index of every wire the model touches.
+    index: HashMap<Wire, u32>,
+    /// `(PadIn wire, model IOB)` for every input-buffered pad.
+    pads: Vec<(u32, usize)>,
+    /// Input pins of each model slice.
+    pins: Vec<SlicePins>,
+    /// Slice outputs in model order: `(wire, model slice, driver)`.
+    outs: Vec<(u32, usize, Driver)>,
+    /// Enabled PIPs as `(from, to)` wire indices.
+    pips: Vec<(u32, u32)>,
+    /// External value applied to each model IOB.
+    pad_in: Vec<bool>,
     /// FF state per model slice: (X, Y).
     ff: Vec<(bool, bool)>,
     /// Wire values after the last settle.
-    values: HashMap<Wire, bool>,
+    values: Vec<bool>,
+    /// Values computed by a settle phase before any is written.
+    scratch: Vec<bool>,
+}
+
+/// A slice's input pins as wire indices.
+#[derive(Debug, Clone)]
+struct SlicePins {
+    f: [u32; 4],
+    g: [u32; 4],
+    ce: u32,
+    bx: u32,
+    by: u32,
+}
+
+/// What drives a slice output wire.
+#[derive(Debug, Clone, Copy)]
+enum Driver {
+    LutF,
+    LutG,
+    FfX,
+    FfY,
+}
+
+/// Evaluate a LUT whose inputs `A1..A4` sit on wires `pins`.
+fn lut(values: &[bool], pins: &[u32; 4], table: u16) -> bool {
+    let idx = (pins.iter().enumerate())
+        .fold(0, |acc, (i, &w)| acc | usize::from(values[w as usize]) << i);
+    (table >> idx) & 1 == 1
+}
+
+/// Write `v` to wire `w`; whether the value changed.
+fn set(values: &mut [bool], w: u32, v: bool) -> bool {
+    std::mem::replace(&mut values[w as usize], v) != v
 }
 
 impl FabricSim {
-    /// Start simulating; FFs take their INIT values (the GSR behaviour on
-    /// START).
+    /// Compile `model` and start simulating; FFs take their INIT values
+    /// (the GSR behaviour on START).
     pub fn new(model: FabricModel) -> Result<FabricSim, DecodeError> {
-        let ff = model.slices.iter().map(|s| (s.init_x, s.init_y)).collect();
+        let wires = 2 * model.pips.len() + 15 * model.slices.len() + model.iobs.len();
+        let mut index = HashMap::with_capacity(wires);
+        let mut intern = |w: Wire| {
+            let next = index.len() as u32;
+            *index.entry(w).or_insert(next)
+        };
+        let pads = (model.iobs.iter().enumerate())
+            .filter(|(_, io)| io.inbuf)
+            .map(|(k, io)| (intern(Wire::new(io.tile, WireKind::PadIn(io.pad))), k))
+            .collect();
+        let mut pins = Vec::with_capacity(model.slices.len());
+        let mut outs = Vec::new();
+        for (i, s) in model.slices.iter().enumerate() {
+            let mut pin = |pin| {
+                intern(Wire::new(
+                    s.tile,
+                    WireKind::SlicePin {
+                        slice: s.slice,
+                        pin,
+                    },
+                ))
+            };
+            use SlicePin::*;
+            pins.push(SlicePins {
+                f: [F1, F2, F3, F4].map(&mut pin),
+                g: [G1, G2, G3, G4].map(&mut pin),
+                ce: pin(CE),
+                bx: pin(BX),
+                by: pin(BY),
+            });
+            let drivers = [
+                (s.x_on, pin(X), Driver::LutF),
+                (s.y_on, pin(Y), Driver::LutG),
+                (s.ffx, pin(XQ), Driver::FfX),
+                (s.ffy, pin(YQ), Driver::FfY),
+            ];
+            for (on, w, driver) in drivers {
+                if on {
+                    outs.push((w, i, driver));
+                }
+            }
+        }
+        let pips = (model.pips.iter())
+            .map(|&(from, to)| (intern(from), intern(to)))
+            .collect();
         let mut sim = FabricSim {
+            pad_in: vec![false; model.iobs.len()],
+            ff: model.slices.iter().map(|s| (s.init_x, s.init_y)).collect(),
+            values: vec![false; index.len()],
+            scratch: Vec::new(),
             model,
-            pad_in: HashMap::new(),
-            ff,
-            values: HashMap::new(),
+            index,
+            pads,
+            pins,
+            outs,
+            pips,
         };
         sim.settle()?;
         Ok(sim)
@@ -231,173 +390,107 @@ impl FabricSim {
         &self.model
     }
 
-    /// Drive a pad from outside.
+    /// Drive a pad from outside. A pad the model does not use ignores
+    /// the drive.
     pub fn set_pad(&mut self, tile: TileCoord, pad: u8, value: bool) {
-        self.pad_in.insert((tile, pad), value);
+        let iobs = &self.model.iobs;
+        if let Some(k) = iobs.iter().position(|io| io.tile == tile && io.pad == pad) {
+            self.pad_in[k] = value;
+        }
     }
 
     /// Read a pad's fabric-driven value (the board-visible output).
     pub fn get_pad(&self, tile: TileCoord, pad: u8) -> bool {
-        self.values
-            .get(&Wire::new(tile, WireKind::PadOut(pad)))
-            .copied()
-            .unwrap_or(false)
+        let out = Wire::new(tile, WireKind::PadOut(pad));
+        self.index
+            .get(&out)
+            .is_some_and(|&w| self.values[w as usize])
     }
 
-    fn wire(&self, w: &Wire) -> bool {
-        self.values.get(w).copied().unwrap_or(false)
-    }
-
-    fn pin(&self, s: &DecodedSlice, pin: SlicePin) -> bool {
-        self.wire(&Wire::new(
-            s.tile,
-            WireKind::SlicePin {
-                slice: s.slice,
-                pin,
-            },
-        ))
-    }
-
-    fn lut_out(&self, s: &DecodedSlice, g: bool) -> bool {
-        let pins = if g {
-            [SlicePin::G1, SlicePin::G2, SlicePin::G3, SlicePin::G4]
+    fn lut_out(&self, i: usize, g: bool) -> bool {
+        let (s, p) = (&self.model.slices[i], &self.pins[i]);
+        if g {
+            lut(&self.values, &p.g, s.lut_g)
         } else {
-            [SlicePin::F1, SlicePin::F2, SlicePin::F3, SlicePin::F4]
-        };
-        let mut idx = 0usize;
-        for (i, p) in pins.iter().enumerate() {
-            if self.pin(s, *p) {
-                idx |= 1 << i;
-            }
+            lut(&self.values, &p.f, s.lut_f)
         }
-        let table = if g { s.lut_g } else { s.lut_f };
-        (table >> idx) & 1 == 1
     }
 
-    /// Propagate combinational logic to a fixed point.
+    /// Propagate combinational logic to a fixed point. Each pass drives
+    /// the pads, then every slice output (all read before any is
+    /// written), then every PIP (likewise).
     pub fn settle(&mut self) -> Result<(), DecodeError> {
         // Upper bound on combinational depth: every pass fixes at least
         // one more wire, so #pips + #slices + 2 passes suffice for any
         // loop-free circuit.
         let max_passes = self.model.pips.len() + self.model.slices.len() + 2;
-        for _ in 0..max_passes {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut passes = 0;
+        let settled = loop {
+            if passes == max_passes {
+                break false;
+            }
+            passes += 1;
             let mut changed = false;
-            let set = |values: &mut HashMap<Wire, bool>, w: Wire, v: bool| {
-                if values.get(&w).copied().unwrap_or(false) != v {
-                    values.insert(w, v);
-                    true
-                } else {
-                    false
-                }
-            };
-            // Pads drive the fabric.
-            for iob in &self.model.iobs {
-                if iob.inbuf {
-                    let v = self
-                        .pad_in
-                        .get(&(iob.tile, iob.pad))
-                        .copied()
-                        .unwrap_or(false);
-                    changed |= set(
-                        &mut self.values,
-                        Wire::new(iob.tile, WireKind::PadIn(iob.pad)),
-                        v,
-                    );
-                }
+            for &(w, k) in &self.pads {
+                changed |= set(&mut self.values, w, self.pad_in[k]);
             }
-            // Slice outputs.
-            let outs: Vec<(Wire, bool)> = self
-                .model
-                .slices
-                .iter()
-                .enumerate()
-                .flat_map(|(i, s)| {
-                    let mut v = Vec::new();
-                    let mk = |pin, val: bool| {
-                        (
-                            Wire::new(
-                                s.tile,
-                                WireKind::SlicePin {
-                                    slice: s.slice,
-                                    pin,
-                                },
-                            ),
-                            val,
-                        )
-                    };
-                    if s.x_on {
-                        v.push(mk(SlicePin::X, self.lut_out(s, false)));
-                    }
-                    if s.y_on {
-                        v.push(mk(SlicePin::Y, self.lut_out(s, true)));
-                    }
-                    if s.ffx {
-                        v.push(mk(SlicePin::XQ, self.ff[i].0));
-                    }
-                    if s.ffy {
-                        v.push(mk(SlicePin::YQ, self.ff[i].1));
-                    }
-                    v
-                })
-                .collect();
-            for (w, v) in outs {
+            scratch.clear();
+            scratch.extend(self.outs.iter().map(|&(_, i, driver)| match driver {
+                Driver::LutF => self.lut_out(i, false),
+                Driver::LutG => self.lut_out(i, true),
+                Driver::FfX => self.ff[i].0,
+                Driver::FfY => self.ff[i].1,
+            }));
+            for (&(w, _, _), &v) in self.outs.iter().zip(&scratch) {
                 changed |= set(&mut self.values, w, v);
             }
-            // PIP propagation.
-            let moves: Vec<(Wire, bool)> = self
-                .model
-                .pips
-                .iter()
-                .map(|(from, to)| (*to, self.wire(from)))
-                .collect();
-            for (w, v) in moves {
-                changed |= set(&mut self.values, w, v);
+            scratch.clear();
+            scratch.extend(
+                self.pips
+                    .iter()
+                    .map(|&(from, _)| self.values[from as usize]),
+            );
+            for (&(_, to), &v) in self.pips.iter().zip(&scratch) {
+                changed |= set(&mut self.values, to, v);
             }
             if !changed {
-                return Ok(());
+                break true;
             }
-        }
-        Err(DecodeError::Oscillation)
-    }
-
-    fn ce_enabled(&self, s: &DecodedSlice) -> bool {
-        match s.ce {
-            MuxSetting::Primary => self.pin(s, SlicePin::CE),
-            _ => true, // OFF/ONE/unused: always enabled
+        };
+        self.scratch = scratch;
+        obs::counter!("simboard_fabric_settle_passes_total").add(passes as u64);
+        if settled {
+            Ok(())
+        } else {
+            Err(DecodeError::Oscillation)
         }
     }
 
     /// One rising edge of the global clock.
     pub fn clock(&mut self) -> Result<(), DecodeError> {
         self.settle()?;
-        let next: Vec<(usize, bool, bool)> = self
-            .model
-            .slices
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.clocked && (s.ffx || s.ffy))
-            .map(|(i, s)| {
-                let en = self.ce_enabled(s);
-                let dx = if s.dx_bypass {
-                    self.pin(s, SlicePin::BX)
-                } else {
-                    self.lut_out(s, false)
-                };
-                let dy = if s.dy_bypass {
-                    self.pin(s, SlicePin::BY)
-                } else {
-                    self.lut_out(s, true)
-                };
-                let (cx, cy) = self.ff[i];
-                (
-                    i,
-                    if en && s.ffx { dx } else { cx },
-                    if en && s.ffy { dy } else { cy },
-                )
-            })
-            .collect();
-        for (i, x, y) in next {
-            self.ff[i] = (x, y);
+        for (i, s) in self.model.slices.iter().enumerate() {
+            if !(s.clocked && (s.ffx || s.ffy)) {
+                continue;
+            }
+            let p = &self.pins[i];
+            let en = s.ce != MuxSetting::Primary || self.values[p.ce as usize];
+            if !en {
+                continue;
+            }
+            let (x, y) = self.ff[i];
+            let dx = if s.dx_bypass {
+                self.values[p.bx as usize]
+            } else {
+                self.lut_out(i, false)
+            };
+            let dy = if s.dy_bypass {
+                self.values[p.by as usize]
+            } else {
+                self.lut_out(i, true)
+            };
+            self.ff[i] = (if s.ffx { dx } else { x }, if s.ffy { dy } else { y });
         }
         self.settle()
     }
@@ -624,5 +717,46 @@ mod tests {
         assert!(model.slices.is_empty());
         assert!(model.iobs.is_empty());
         assert!(model.pips.is_empty());
+    }
+
+    #[test]
+    fn pip_memo_holds_only_enabled_pips_and_builds_each_table_once() {
+        use jbits::Xhwif;
+        let memo = Mutex::new(PipMemo::default());
+        let stats = || {
+            let memo = memo.lock().unwrap();
+            (memo.pips.len(), memo.builds)
+        };
+        decode_with(&ConfigMemory::new(Device::XCV50), &memo).unwrap();
+        assert_eq!(stats(), (0, 0), "an empty device adds nothing");
+
+        let (mem, ..) = build_inverter();
+        let model = decode_with(&mem, &memo).unwrap();
+        let (entries, builds) = stats();
+        assert_eq!(entries, model.pips.len(), "only enabled PIPs are kept");
+        assert!(builds > 0);
+        assert_eq!(decode_with(&mem, &memo).unwrap(), model);
+        assert_eq!(stats(), (entries, builds), "a second decode grows nothing");
+
+        // Upset the first window bit past the last PIP of an unused CLB.
+        // No resource owns it, so the reference decoder, which reads PIP
+        // bits only through `tile_pips`, sees the same model.
+        let tile = TileCoord::new(5, 5);
+        let layout = Layout::new(Device::XCV50);
+        let past = layout.pip_bit(tile, layout.graph().tile_pips(tile).len());
+        let mut board = crate::SimBoard::new(Device::XCV50);
+        board
+            .set_configuration(&bitstream::full_bitstream(&mem))
+            .unwrap();
+        assert!(board.inject_upset(past.frame, past.bit));
+        let upset = board.port().interpreter().memory();
+        assert!(layout.tiles_in_use(upset).contains(&tile));
+        assert_eq!(board.fabric().unwrap().model(), &model);
+        // The first decode builds the tile's list to learn where its PIPs
+        // end; later decodes skip the stray bit without building it.
+        for _ in 0..3 {
+            assert_eq!(decode_with(upset, &memo).unwrap(), model);
+            assert_eq!(stats(), (entries, builds + 1), "the stray bit is no PIP");
+        }
     }
 }
