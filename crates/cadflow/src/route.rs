@@ -8,6 +8,28 @@
 //! penalty grows and persistent offenders accumulate *history* cost, so
 //! nets negotiate until every wire has at most one owner.
 //!
+//! **Cost model.** Entering wire `w` costs
+//! `base(w) · (1 + pres_fac · others(w)) + hist_fac · history(w)`, where
+//! `base` grows with wire reach (slice pin 0.95, OMUX/pad/clock 1, single
+//! 2, hex 5, long 9), `others(w)` counts the *other* nets on `w`, and
+//! `history(w)` counts the iterations `w` ended overused. The heuristic
+//! is 0.8 per tile of Manhattan distance to the sink. The heap pops the
+//! lowest `cost + estimate`, ties broken by the `Wire` order, and a wire
+//! is relaxed only on a strict improvement (`new + 1e-12 < best`), so a
+//! route is a pure function of the placed design and the options.
+//!
+//! **Dense wire window.** Each `route()` call numbers the wires it may
+//! touch once, so all per-wire state — usage, history and each search's
+//! best cost, predecessor and tree flag — lives in arrays, not hash maps.
+//! The window is whole columns (the `region_cols` region, or the device
+//! with its IOB ring) at full height; a wire's id is its column-major
+//! tile index times `SLOTS` (106) plus its kind's slot. Wires a route names
+//! outside the window — the four global clock anchors at `(0, 0)` and
+//! task pins outside the region, such as a clock pad on the ring — get
+//! ids past the window from a short *extras* list built up front. The
+//! window is deliberately not widened to reach them: that would map
+//! state for columns no search enters.
+//!
 //! Clock nets bypass general routing: they ride the dedicated global
 //! clock tree (`PadIn → GCLK → CLK` pips), exactly as the silicon does.
 
@@ -16,7 +38,12 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
-use virtex::{IobCoord, Pip, RoutingGraph, SliceCoord, SlicePin, TileCoord, Wire, WireKind};
+use virtex::routing::{
+    GLOBAL_CLOCKS, HEX_PER_DIR, LONGS_PER_TRACK, OMUX_COUNT, PADS_PER_IOB, SINGLES_PER_DIR,
+};
+use virtex::{
+    Device, IobCoord, Pip, RoutingGraph, SliceCoord, SlicePin, TileCoord, Wire, WireKind,
+};
 use xdl::{Design, InstanceKind, NetKind, PinRef, Placement};
 
 /// Router options.
@@ -176,6 +203,8 @@ struct HeapItem {
     cost: f64,
     est: f64,
     wire: Wire,
+    /// `wire`'s dense id (not part of the order).
+    id: u32,
 }
 
 impl Eq for HeapItem {}
@@ -196,28 +225,214 @@ impl PartialOrd for HeapItem {
     }
 }
 
+/// Slots per tile in the dense wire window: every [`WireKind`] a tile can
+/// anchor, packed by [`slot`].
+const SLOTS: usize = 106;
+const SLOT_OMUX: usize = 2 * SlicePin::ALL.len();
+const SLOT_SINGLE: usize = SLOT_OMUX + OMUX_COUNT;
+const SLOT_HEX: usize = SLOT_SINGLE + 4 * SINGLES_PER_DIR;
+const SLOT_LONG: usize = SLOT_HEX + 4 * HEX_PER_DIR;
+const SLOT_PAD_IN: usize = SLOT_LONG + 2 * LONGS_PER_TRACK;
+const SLOT_PAD_OUT: usize = SLOT_PAD_IN + PADS_PER_IOB;
+const SLOT_GCLK: usize = SLOT_PAD_OUT + PADS_PER_IOB;
+const _: () = assert!(SLOT_GCLK + GLOBAL_CLOCKS == SLOTS);
+
+/// A wire kind's slot within its tile, or `None` for an out-of-range
+/// index (which no real wire has).
+fn slot(kind: WireKind) -> Option<usize> {
+    let (base, count, i) = match kind {
+        WireKind::SlicePin { slice, pin } => {
+            return Some(slice.index() * SlicePin::ALL.len() + pin.index())
+        }
+        WireKind::Omux(j) => (SLOT_OMUX, OMUX_COUNT, j),
+        WireKind::Single { dir, idx } => (
+            SLOT_SINGLE + dir.index() * SINGLES_PER_DIR,
+            SINGLES_PER_DIR,
+            idx,
+        ),
+        WireKind::Hex { dir, idx } => (SLOT_HEX + dir.index() * HEX_PER_DIR, HEX_PER_DIR, idx),
+        WireKind::Long { horiz, idx } => (
+            SLOT_LONG + usize::from(horiz) * LONGS_PER_TRACK,
+            LONGS_PER_TRACK,
+            idx,
+        ),
+        WireKind::PadIn(p) => (SLOT_PAD_IN, PADS_PER_IOB, p),
+        WireKind::PadOut(p) => (SLOT_PAD_OUT, PADS_PER_IOB, p),
+        WireKind::GlobalClock(k) => (SLOT_GCLK, GLOBAL_CLOCKS, k),
+    };
+    (usize::from(i) < count).then_some(base + usize::from(i))
+}
+
+/// A dense numbering of every wire one `route()` call can touch.
+///
+/// The window is a block of whole columns (the region's, or the device's
+/// including the IOB ring) at full height, ring rows included. A wire at
+/// tile `(row, col)` gets `((col − c0) · nrows + row + 1) · SLOTS + slot`:
+/// column-major, so a region's ids are contiguous. The few wires a route
+/// can name outside the window — the global clock anchors at `(0, 0)` and
+/// task pins outside the region, such as a clock pad on the ring — get
+/// ids past the window from a short sorted list. Every search wire passes
+/// the region filter first, so it always lies inside.
+struct WireWindow {
+    c0: i32,
+    ncols: i32,
+    nrows: i32,
+    extras: Vec<Wire>,
+}
+
+impl WireWindow {
+    /// The window for `region_cols` on `device`, plus the listed wires
+    /// that fall outside it.
+    fn new(
+        device: Device,
+        region_cols: Option<(i32, i32)>,
+        outside: impl IntoIterator<Item = Wire>,
+    ) -> Self {
+        let g = device.geometry();
+        // No wire lies beyond the IOB ring, so a region reaching past the
+        // device is clipped to it.
+        let (lo, hi) = (-1, g.clb_cols as i32);
+        let (c0, c1) = region_cols.map_or((lo, hi), |(c0, c1)| (c0.max(lo), c1.min(hi)));
+        let mut window = WireWindow {
+            c0,
+            ncols: (c1 - c0 + 1).max(0),
+            nrows: g.clb_rows as i32 + 2,
+            extras: Vec::new(),
+        };
+        window.extras = outside
+            .into_iter()
+            .filter(|w| window.local(w).is_none())
+            .collect();
+        window.extras.sort_unstable();
+        window.extras.dedup();
+        window
+    }
+
+    /// Ids below this are inside the window.
+    fn window_len(&self) -> usize {
+        (self.ncols * self.nrows) as usize * SLOTS
+    }
+
+    /// Number of ids.
+    fn len(&self) -> usize {
+        self.window_len() + self.extras.len()
+    }
+
+    fn local(&self, w: &Wire) -> Option<usize> {
+        // Wrapping: a pin placed at an absurd coordinate lands outside
+        // the range checks below instead of overflowing.
+        let c = w.tile.col.wrapping_sub(self.c0);
+        let r = w.tile.row.wrapping_add(1);
+        if !(0..self.ncols).contains(&c) || !(0..self.nrows).contains(&r) {
+            return None;
+        }
+        Some((c * self.nrows + r) as usize * SLOTS + slot(w.kind)?)
+    }
+
+    /// The dense id of `w`.
+    ///
+    /// # Panics
+    /// If `w` is neither inside the window nor one of the listed wires —
+    /// an internal invariant, since the router only names task pins,
+    /// global clocks and wires that passed the region filter.
+    fn id(&self, w: &Wire) -> usize {
+        self.local(w)
+            .or_else(|| {
+                let i = self.extras.binary_search(w).ok()?;
+                Some(self.window_len() + i)
+            })
+            .unwrap_or_else(|| panic!("wire {w} outside the routing window"))
+    }
+}
+
 struct RouterState {
-    usage: HashMap<Wire, u32>,
-    history: HashMap<Wire, f64>,
+    window: WireWindow,
+    /// Nets using each wire.
+    usage: Vec<u32>,
+    /// Iterations each wire ended overused.
+    history: Vec<u32>,
     pres_fac: f64,
     hist_fac: f64,
 }
 
 impl RouterState {
-    fn congestion_cost(&self, wire: &Wire, own_uses: u32) -> f64 {
+    fn congestion_cost(&self, wire: &Wire, id: usize, own_uses: u32) -> f64 {
         // Usage by *other* nets (during our own reroute the tree's wires
-        // are not in the usage map, so saturate).
-        let used = self
-            .usage
-            .get(wire)
-            .copied()
-            .unwrap_or(0)
-            .saturating_sub(own_uses);
+        // are not counted in `usage`, so saturate).
+        let used = self.usage[id].saturating_sub(own_uses);
         // Capacity is 1 everywhere: with us added, overuse equals the
         // other-net count.
         let over = used;
-        let hist = self.history.get(wire).copied().unwrap_or(0.0);
-        base_cost(&wire.kind) * (1.0 + self.pres_fac * over as f64) + self.hist_fac * hist
+        let hist = f64::from(self.history[id]);
+        base_cost(&wire.kind) * (1.0 + self.pres_fac * f64::from(over)) + self.hist_fac * hist
+    }
+
+    /// The distinct wires used by more than one net, given every net's
+    /// wires.
+    fn overused(&self, route_wires: &[Vec<u32>]) -> Vec<u32> {
+        let mut over: Vec<u32> = route_wires
+            .iter()
+            .flatten()
+            .copied()
+            .filter(|&id| self.usage[id as usize] > 1)
+            .collect();
+        over.sort_unstable();
+        over.dedup();
+        over
+    }
+}
+
+/// Per-search state, indexed by wire id and reused across sinks and nets.
+/// Every array is zero when no search is running: a search resets only
+/// the entries it touched, so it costs O(explored), not O(window), and
+/// zeroed memory is mapped only where searches go.
+struct Search {
+    /// Best known cost, as `f64` bits XOR [`INF_BITS`] (zero = unreached).
+    best: Vec<u64>,
+    /// One plus the arena index of the PIP that reached the wire.
+    pred: Vec<u32>,
+    /// Whether the wire is on the current net's tree.
+    in_tree: Vec<bool>,
+    /// Ids whose `best`/`pred` this search set.
+    touched: Vec<u32>,
+    /// PIPs relaxed by this search, with the id of their `from` wire.
+    arena: Vec<(Pip, u32)>,
+    heap: BinaryHeap<HeapItem>,
+}
+
+const INF_BITS: u64 = f64::INFINITY.to_bits();
+
+impl Search {
+    fn new(len: usize) -> Self {
+        Search {
+            best: vec![0; len],
+            pred: vec![0; len],
+            in_tree: vec![false; len],
+            touched: Vec::new(),
+            arena: Vec::new(),
+            heap: BinaryHeap::new(),
+        }
+    }
+
+    fn best(&self, id: usize) -> f64 {
+        f64::from_bits(self.best[id] ^ INF_BITS)
+    }
+
+    fn set_best(&mut self, id: usize, cost: f64) {
+        if self.best[id] == 0 {
+            self.touched.push(id as u32);
+        }
+        self.best[id] = cost.to_bits() ^ INF_BITS;
+    }
+
+    /// Forget one sink search.
+    fn reset(&mut self) {
+        for id in self.touched.drain(..) {
+            self.best[id as usize] = 0;
+            self.pred[id as usize] = 0;
+        }
+        self.arena.clear();
+        self.heap.clear();
     }
 }
 
@@ -259,14 +474,22 @@ pub fn route(design: &mut Design, opts: &RouteOptions) -> Result<RouteReport, Ro
         });
     }
 
+    let clocks = (0..GLOBAL_CLOCKS as u8).map(|k| graph.global_clock(k));
+    let pins = tasks
+        .iter()
+        .flat_map(|t| std::iter::once(t.source).chain(t.sinks.iter().copied()));
+    let window = WireWindow::new(design.device, opts.region_cols, clocks.chain(pins));
+    let mut search = Search::new(window.len());
     let mut state = RouterState {
-        usage: HashMap::new(),
-        history: HashMap::new(),
+        usage: vec![0; window.len()],
+        history: vec![0; window.len()],
+        window,
         pres_fac: opts.pres_fac,
         hist_fac: opts.hist_fac,
     };
     let mut routes: Vec<Vec<Pip>> = vec![Vec::new(); tasks.len()];
-    let mut route_wires: Vec<HashSet<Wire>> = vec![HashSet::new(); tasks.len()];
+    // Each net's wires as dense ids; a route tree has no duplicates.
+    let mut route_wires: Vec<Vec<u32>> = vec![Vec::new(); tasks.len()];
 
     let mut report = RouteReport::default();
     let mut order: Vec<usize> = (0..tasks.len()).collect();
@@ -279,49 +502,34 @@ pub fn route(design: &mut Design, opts: &RouteOptions) -> Result<RouteReport, Ro
             let needs = routes[ti].is_empty()
                 || route_wires[ti]
                     .iter()
-                    .any(|w| state.usage.get(w).copied().unwrap_or(0) > 1);
+                    .any(|&id| state.usage[id as usize] > 1);
             if !needs {
                 continue;
             }
             any_rerouted = true;
             // Rip up.
-            for w in route_wires[ti].drain() {
-                if let Some(u) = state.usage.get_mut(&w) {
-                    *u -= 1;
-                    if *u == 0 {
-                        state.usage.remove(&w);
-                    }
-                }
+            for id in route_wires[ti].drain(..) {
+                state.usage[id as usize] -= 1;
             }
             routes[ti].clear();
 
             let (pips, wires) = if task.is_clock {
-                route_clock(&graph, task, opts.clock_index)?
+                route_clock(&graph, task, &state.window, opts.clock_index)?
             } else {
-                route_signal(&graph, task, &state, opts)?
+                route_signal(&graph, task, &state, &mut search, opts)?
             };
-            for w in &wires {
-                *state.usage.entry(*w).or_insert(0) += 1;
+            for &id in &wires {
+                state.usage[id as usize] += 1;
             }
             routes[ti] = pips;
             route_wires[ti] = wires;
         }
 
         // Converged?
-        let overused: Vec<Wire> = state
-            .usage
-            .iter()
-            .filter(|(_, &u)| u > 1)
-            .map(|(w, _)| *w)
-            .collect();
+        let overused = state.overused(&route_wires);
         if overused.is_empty() {
-            let mut total_wires = 0;
-            for (ti, task) in tasks.iter().enumerate() {
-                report.pips += routes[ti].len();
-                total_wires += route_wires[ti].len();
-                let _ = task;
-            }
-            report.wirelength = total_wires;
+            report.pips = routes.iter().map(Vec::len).sum();
+            report.wirelength = route_wires.iter().map(Vec::len).sum();
             for (ti, task) in tasks.iter().enumerate() {
                 design.nets[task.design_index].pips = routes[ti].clone();
             }
@@ -332,8 +540,8 @@ pub fn route(design: &mut Design, opts: &RouteOptions) -> Result<RouteReport, Ro
                 overused: overused.len(),
             });
         }
-        for w in overused {
-            *state.history.entry(w).or_insert(0.0) += 1.0;
+        for id in overused {
+            state.history[id as usize] += 1;
         }
         state.pres_fac *= opts.pres_fac_mult;
         // Shuffle net order so the same victims don't always pay.
@@ -342,7 +550,7 @@ pub fn route(design: &mut Design, opts: &RouteOptions) -> Result<RouteReport, Ro
             order.swap(i, j);
         }
     }
-    let overused = state.usage.values().filter(|&&u| u > 1).count();
+    let overused = state.overused(&route_wires).len();
     Err(RouteError::Congested { overused })
 }
 
@@ -350,21 +558,22 @@ pub fn route(design: &mut Design, opts: &RouteOptions) -> Result<RouteReport, Ro
 fn route_clock(
     graph: &RoutingGraph,
     task: &NetTask,
+    window: &WireWindow,
     clock_index: Option<u8>,
-) -> Result<(Vec<Pip>, HashSet<Wire>), RouteError> {
+) -> Result<(Vec<Pip>, Vec<u32>), RouteError> {
     let WireKind::PadIn(pad) = task.source.kind else {
         return Err(RouteError::BadPin {
             pin: format!("clock source of {} is not a pad", task.name),
         });
     };
-    let idx = clock_index.unwrap_or(pad) % virtex::routing::GLOBAL_CLOCKS as u8;
+    let idx = clock_index.unwrap_or(pad) % GLOBAL_CLOCKS as u8;
     let gclk = graph.global_clock(idx);
     let mut pips = vec![Pip {
         loc: task.source.tile,
         from: task.source,
         to: gclk,
     }];
-    let mut wires: HashSet<Wire> = [task.source, gclk].into_iter().collect();
+    let mut wires = vec![window.id(&task.source) as u32, window.id(&gclk) as u32];
     for sink in &task.sinks {
         if !matches!(
             sink.kind,
@@ -382,8 +591,11 @@ fn route_clock(
             from: gclk,
             to: *sink,
         });
-        wires.insert(*sink);
+        wires.push(window.id(sink) as u32);
     }
+    // A sink listed twice is one wire.
+    wires.sort_unstable();
+    wires.dedup();
     Ok((pips, wires))
 }
 
@@ -392,40 +604,44 @@ fn route_signal(
     graph: &RoutingGraph,
     task: &NetTask,
     state: &RouterState,
+    search: &mut Search,
     opts: &RouteOptions,
-) -> Result<(Vec<Pip>, HashSet<Wire>), RouteError> {
-    let mut tree: HashSet<Wire> = [task.source].into_iter().collect();
+) -> Result<(Vec<Pip>, Vec<u32>), RouteError> {
+    let window = &state.window;
+    let source = window.id(&task.source);
+    let mut tree: Vec<Wire> = vec![task.source];
+    let mut tree_ids: Vec<u32> = vec![source as u32];
+    search.in_tree[source] = true;
     let mut pips: Vec<Pip> = Vec::new();
+    let mut scratch: Vec<Pip> = Vec::new();
 
     // Sinks nearest-first: short connections lay down reusable trunk.
     let mut sinks = task.sinks.clone();
     sinks.sort_by_key(|s| task.source.tile.manhattan(s.tile));
 
     for sink in sinks {
-        if tree.contains(&sink) {
+        let sink_id = window.id(&sink);
+        if search.in_tree[sink_id] {
             continue;
         }
         let target_tile = sink.tile;
-        let mut best: HashMap<Wire, f64> = HashMap::new();
-        let mut pred: HashMap<Wire, Pip> = HashMap::new();
-        let mut heap = BinaryHeap::new();
-        for &w in &tree {
-            best.insert(w, 0.0);
-            heap.push(HeapItem {
+        for (&w, &id) in tree.iter().zip(&tree_ids) {
+            search.set_best(id as usize, 0.0);
+            search.heap.push(HeapItem {
                 cost: 0.0,
                 est: estimate(w.tile, target_tile),
                 wire: w,
+                id,
             });
         }
         let mut expansions = 0usize;
         let mut found = false;
-        let mut scratch: Vec<Pip> = Vec::new();
-        while let Some(HeapItem { cost, wire, .. }) = heap.pop() {
-            if wire == sink {
+        while let Some(HeapItem { cost, wire, id, .. }) = search.heap.pop() {
+            if id as usize == sink_id {
                 found = true;
                 break;
             }
-            if cost > best.get(&wire).copied().unwrap_or(f64::INFINITY) {
+            if cost > search.best(id as usize) {
                 continue;
             }
             expansions += 1;
@@ -451,16 +667,19 @@ fn route_signal(
                         continue;
                     }
                 }
-                let own = u32::from(tree.contains(&next));
-                let step = state.congestion_cost(&next, own);
+                let nid = window.id(&next);
+                let own = u32::from(search.in_tree[nid]);
+                let step = state.congestion_cost(&next, nid, own);
                 let ncost = cost + step;
-                if ncost + 1e-12 < best.get(&next).copied().unwrap_or(f64::INFINITY) {
-                    best.insert(next, ncost);
-                    pred.insert(next, *pip);
-                    heap.push(HeapItem {
+                if ncost + 1e-12 < search.best(nid) {
+                    search.set_best(nid, ncost);
+                    search.arena.push((*pip, id));
+                    search.pred[nid] = search.arena.len() as u32;
+                    search.heap.push(HeapItem {
                         cost: ncost,
                         est: estimate(next.tile, target_tile),
                         wire: next,
+                        id: nid as u32,
                     });
                 }
             }
@@ -471,19 +690,25 @@ fn route_signal(
             });
         }
         // Backtrack into the tree.
-        let mut w = sink;
+        let mut id = sink_id;
         let mut branch = Vec::new();
-        while !tree.contains(&w) {
-            let pip = pred[&w];
-            branch.push(pip);
-            w = pip.from;
+        while !search.in_tree[id] {
+            let (pip, from) = search.arena[search.pred[id] as usize - 1];
+            branch.push((pip, id as u32));
+            id = from as usize;
         }
-        for pip in branch.into_iter().rev() {
-            tree.insert(pip.to);
+        for (pip, to) in branch.into_iter().rev() {
+            search.in_tree[to as usize] = true;
+            tree.push(pip.to);
+            tree_ids.push(to);
             pips.push(pip);
         }
+        search.reset();
     }
-    Ok((pips, tree))
+    for &id in &tree_ids {
+        search.in_tree[id as usize] = false;
+    }
+    Ok((pips, tree_ids))
 }
 
 /// Admissible-ish distance estimate: cheapest possible cost per tile is
@@ -573,6 +798,162 @@ mod tests {
         place(&mut d, &cons, None, &PlaceOptions { seed, effort: 1.0 }).unwrap();
         route(&mut d, &RouteOptions::default()).unwrap();
         d
+    }
+
+    /// Every wire kind a tile can anchor, each index in range.
+    fn all_kinds() -> Vec<WireKind> {
+        let mut kinds = Vec::new();
+        for slice in virtex::SliceId::ALL {
+            for pin in SlicePin::ALL {
+                kinds.push(WireKind::SlicePin { slice, pin });
+            }
+        }
+        kinds.extend((0..OMUX_COUNT as u8).map(WireKind::Omux));
+        for dir in virtex::Dir::ALL {
+            kinds.extend((0..SINGLES_PER_DIR as u8).map(|idx| WireKind::Single { dir, idx }));
+            kinds.extend((0..HEX_PER_DIR as u8).map(|idx| WireKind::Hex { dir, idx }));
+        }
+        for horiz in [false, true] {
+            kinds.extend((0..LONGS_PER_TRACK as u8).map(|idx| WireKind::Long { horiz, idx }));
+        }
+        kinds.extend((0..PADS_PER_IOB as u8).map(WireKind::PadIn));
+        kinds.extend((0..PADS_PER_IOB as u8).map(WireKind::PadOut));
+        kinds.extend((0..GLOBAL_CLOCKS as u8).map(WireKind::GlobalClock));
+        kinds
+    }
+
+    #[test]
+    fn slots_pack_every_kind_densely() {
+        let mut slots: Vec<usize> = all_kinds().into_iter().map(|k| slot(k).unwrap()).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..SLOTS).collect::<Vec<_>>());
+        assert_eq!(
+            slot(WireKind::Single {
+                dir: virtex::Dir::West,
+                idx: 8
+            }),
+            None
+        );
+        assert_eq!(slot(WireKind::PadIn(4)), None);
+    }
+
+    /// Every existing wire inside `window`'s columns gets a distinct id
+    /// below `len()`; returns how many there were.
+    fn assert_window_ids_distinct(device: Device, window: &WireWindow, cols: (i32, i32)) -> usize {
+        let graph = RoutingGraph::new(device);
+        let rows = device.geometry().clb_rows as i32;
+        let kinds = all_kinds();
+        let mut seen = vec![false; window.len()];
+        let mut count = 0;
+        for col in cols.0..=cols.1 {
+            for row in -1..=rows {
+                for &kind in &kinds {
+                    let w = Wire::new(TileCoord::new(row, col), kind);
+                    if !graph.wire_exists(w) {
+                        continue;
+                    }
+                    let id = window.id(&w);
+                    assert!(id < window.len(), "{w}: id {id} out of range");
+                    assert!(
+                        !std::mem::replace(&mut seen[id], true),
+                        "{w}: id {id} reused"
+                    );
+                    count += 1;
+                }
+            }
+        }
+        count
+    }
+
+    #[test]
+    fn window_ids_are_distinct_on_every_wire() {
+        for device in [Device::XCV50, Device::XCV1000] {
+            let cols = device.geometry().clb_cols as i32;
+            let whole = WireWindow::new(device, None, []);
+            assert!(whole.extras.is_empty());
+            let n = assert_window_ids_distinct(device, &whole, (-1, cols));
+            // The whole-device window also holds the clock anchors.
+            assert!(
+                n > 0
+                    && whole
+                        .local(&Wire::new(TileCoord::new(0, 0), WireKind::GlobalClock(3)))
+                        .is_some()
+            );
+
+            let height = device.geometry().clb_rows + 2;
+            let region = WireWindow::new(device, Some((4, 11)), []);
+            assert_eq!(region.window_len(), 8 * height * SLOTS);
+            assert!(assert_window_ids_distinct(device, &region, (4, 11)) > 0);
+
+            // A region reaching past the device stops at the IOB ring.
+            let clipped = WireWindow::new(device, Some((cols - 3, cols + 1000)), []);
+            assert_eq!(clipped.window_len(), 4 * height * SLOTS);
+            assert!(assert_window_ids_distinct(device, &clipped, (cols - 3, cols)) > 0);
+            let beyond = WireWindow::new(device, Some((cols + 5, cols + 9)), []);
+            assert_eq!(beyond.window_len(), 0);
+        }
+    }
+
+    #[test]
+    fn wires_outside_the_region_get_ids_past_the_window() {
+        let graph = RoutingGraph::new(Device::XCV50);
+        let clocks: Vec<Wire> = (0..GLOBAL_CLOCKS as u8)
+            .map(|k| graph.global_clock(k))
+            .collect();
+        let pad = Wire::new(TileCoord::new(4, -1), WireKind::PadIn(1));
+        let inside = Wire::new(TileCoord::new(2, 5), WireKind::Omux(3));
+        let listed = clocks.iter().copied().chain([pad, inside, pad]);
+        let window = WireWindow::new(Device::XCV50, Some((4, 11)), listed);
+        // The clocks and the pad, once each; the in-window wire is not an
+        // extra.
+        assert_eq!(window.extras.len(), GLOBAL_CLOCKS + 1);
+        let mut ids: Vec<usize> = clocks.iter().chain([&pad]).map(|w| window.id(w)).collect();
+        assert!(ids
+            .iter()
+            .all(|&id| (window.window_len()..window.len()).contains(&id)));
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), GLOBAL_CLOCKS + 1);
+        assert!(window.id(&inside) < window.window_len());
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the routing window")]
+    fn an_unlisted_wire_outside_the_window_is_an_invariant_violation() {
+        let window = WireWindow::new(Device::XCV50, Some((4, 11)), []);
+        window.id(&Wire::new(TileCoord::new(0, 0), WireKind::Omux(0)));
+    }
+
+    #[test]
+    fn clock_pad_outside_the_region_routes_on_the_tree() {
+        let ucf = r#"
+NET "clk" LOC = "IOB_R5C0.P1" ;
+INST "*" AREA_GROUP = "AG" ;
+AREA_GROUP "AG" RANGE = CLB_R1C5:CLB_R16C12 ;
+"#;
+        let nl = gen::counter("cnt", 4);
+        let mut d = pack_with_prefix(&map_netlist(&nl), Device::XCV50, "");
+        let cons = Constraints::parse(ucf).unwrap();
+        place(
+            &mut d,
+            &cons,
+            None,
+            &PlaceOptions {
+                seed: 6,
+                effort: 1.0,
+            },
+        )
+        .unwrap();
+        let opts = RouteOptions {
+            region_cols: Some((4, 11)),
+            clock_index: Some(2),
+            ..RouteOptions::default()
+        };
+        route(&mut d, &opts).unwrap();
+        verify_routing(&d).unwrap();
+        let clk = d.net("clk").unwrap();
+        assert_eq!(clk.pips[0].from.tile, TileCoord::new(4, -1));
+        assert_eq!(clk.pips[0].to.kind, WireKind::GlobalClock(2));
     }
 
     #[test]

@@ -158,12 +158,9 @@ impl SlicePin {
         SlicePin::YQ,
     ];
 
-    /// Canonical index within [`Self::ALL`].
+    /// Canonical index within [`Self::ALL`] (the declaration order).
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|p| *p == self)
-            .expect("pin in ALL")
+        self as usize
     }
 
     /// Whether this is a slice output.
@@ -786,6 +783,13 @@ mod tests {
 
     fn graph() -> RoutingGraph {
         RoutingGraph::new(Device::XCV50)
+    }
+
+    #[test]
+    fn slice_pin_index_is_its_position_in_all() {
+        for (i, pin) in SlicePin::ALL.into_iter().enumerate() {
+            assert_eq!(pin.index(), i, "{}", pin.name());
+        }
     }
 
     #[test]
