@@ -17,8 +17,7 @@
 //! * **incremental + parallel** — prime one shared [`jpg::FrameCache`]
 //!   with the base image, then per variant: read the dirty-frame
 //!   byproduct of translation (no memory scan), hash-check those frames
-//!   against the cache, and emit only real changes through the
-//!   column-sharded parallel writer (the
+//!   against the cache, and emit only real changes (the
 //!   `JpgProject::generate_partial_incremental` flow, variants fanned
 //!   out across Rayon workers).
 
@@ -82,7 +81,7 @@ fn incremental_par(base: &ConfigMemory, lib: &[StampedVariant]) -> Vec<Bitstream
         .map(|v| {
             let frames = cache.filter_changed(&v.memory, v.memory.dirty_frames());
             let runs = bitgen::coalesce_frames_bridged(frames, 1);
-            bitgen::partial_bitstream_par(&v.memory, &runs)
+            bitgen::partial_bitstream(&v.memory, &runs)
         })
         .collect()
 }
@@ -139,8 +138,8 @@ fn print_table(base: &ConfigMemory, lib: &[StampedVariant]) {
         bytes(&out_par).to_string(),
     ]);
     println!(
-        "speedup: {:.2}x  (partials {:.1}% of wholesale size; {} worker(s) — column \
-         shards and variants fan out further on multi-core hosts)",
+        "speedup: {:.2}x  (partials {:.1}% of wholesale size; {} worker(s) — variants \
+         fan out further on multi-core hosts)",
         t_serial.as_secs_f64() / t_par.as_secs_f64(),
         100.0 * bytes(&out_par) as f64 / bytes(&out_serial) as f64,
         rayon::current_num_threads()

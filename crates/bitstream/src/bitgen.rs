@@ -13,11 +13,8 @@
 //! The trailing pad frame per `FDRI` run mirrors the silicon's one-frame
 //! write pipeline: the final frame of any run is never committed.
 
-use crate::crc::{Crc16, BITS_PER_UPDATE};
-use crate::packet::{Packet, TYPE1_MAX_COUNT};
 use crate::regs::{Command, Register};
 use crate::writer::{Bitstream, BitstreamWriter};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use virtex::{BlockType, ConfigGeometry, ConfigMemory};
 
@@ -57,7 +54,11 @@ impl FrameRange {
 
     /// Whether the range is within the device.
     pub fn valid_for(&self, geom: &ConfigGeometry) -> bool {
-        self.len > 0 && self.start + self.len <= geom.total_frames()
+        self.len > 0
+            && self
+                .start
+                .checked_add(self.len)
+                .is_some_and(|end| end <= geom.total_frames())
     }
 }
 
@@ -139,28 +140,6 @@ fn frame_payload(mem: &ConfigMemory, range: FrameRange) -> Vec<u32> {
     data
 }
 
-/// Reusable buffers for repeated partial generation: the writer's word
-/// buffer and one zeroed pad frame. Hand the finished [`Bitstream`] back
-/// through [`GenScratch::recycle`] and the next generation allocates
-/// nothing once the buffers reach their working size.
-#[derive(Debug, Default)]
-pub struct GenScratch {
-    pad: Vec<u32>,
-    buf: Vec<u32>,
-}
-
-impl GenScratch {
-    /// Empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        GenScratch::default()
-    }
-
-    /// Reclaim a bitstream's word buffer for the next generation.
-    pub fn recycle(&mut self, bits: Bitstream) {
-        self.buf = bits.into_words();
-    }
-}
-
 fn far_word(geom: &ConfigGeometry, frame: usize) -> u32 {
     geom.frame_address(frame)
         .expect("frame index in range")
@@ -196,174 +175,70 @@ pub fn full_bitstream(mem: &ConfigMemory) -> Bitstream {
     bits
 }
 
+/// Words a partial over `ranges` can take: the fixed preamble and
+/// trailer (sync, `RCRC`, `IDCODE`, `FLR`; `CRC`, `LFRM`, `START`,
+/// `DESYNCH` — 16 words), plus per range a `FAR` seek and `WCFG` (4), an
+/// `FDRI` header (at most 2) and the frames with their pad frame.
+fn partial_capacity(frame_words: usize, ranges: &[FrameRange]) -> usize {
+    16 + ranges
+        .iter()
+        .map(|r| 6 + (r.len + 1) * frame_words)
+        .sum::<usize>()
+}
+
 /// Generate a partial bitstream writing only `ranges` of `mem`'s frames.
 ///
 /// This is the output format of the JPG tool: a syncable packet stream
 /// that seeks to each dirty column and rewrites it, leaving the rest of
-/// the device untouched. `GHIGH` is asserted around the frame writes so
-/// in-flight logic is isolated during reconfiguration, matching the
-/// behaviour the paper relies on for dynamic updates.
-pub fn partial_bitstream(mem: &ConfigMemory, ranges: &[FrameRange]) -> Bitstream {
-    let _g = obs::span!("bitgen_serial", "runs" => ranges.len());
-    let mut pad = Vec::new();
-    let bits = emit_partial_with(mem, ranges, Vec::new(), &mut pad);
-    record_emission(ranges, &bits);
-    bits
-}
-
-/// [`partial_bitstream`] on recycled buffers: byte-identical output,
-/// zero steady-state allocation. The caller owns the [`GenScratch`] and
-/// feeds the returned stream back via [`GenScratch::recycle`] once done
-/// with it.
-pub fn partial_bitstream_pooled(
-    mem: &ConfigMemory,
-    ranges: &[FrameRange],
-    scratch: &mut GenScratch,
-) -> Bitstream {
-    let _g = obs::span!("bitgen_pooled", "runs" => ranges.len());
-    let buf = std::mem::take(&mut scratch.buf);
-    let bits = emit_partial_with(mem, ranges, buf, &mut scratch.pad);
-    record_emission(ranges, &bits);
-    bits
-}
-
-/// The serial emitter body: one `FAR`/`WCFG`/`FDRI` run per range, with
+/// the device untouched — one `FAR`/`WCFG`/`FDRI` run per range, with
 /// frame payloads taken straight out of the config-memory slab
-/// ([`ConfigMemory::frame_span`]) and a shared zeroed pad frame — no
-/// per-range payload staging.
-fn emit_partial_with(
-    mem: &ConfigMemory,
-    ranges: &[FrameRange],
-    buf: Vec<u32>,
-    pad: &mut Vec<u32>,
-) -> Bitstream {
+/// ([`ConfigMemory::frame_span`]) and one zeroed pipeline pad frame. The
+/// output buffer is reserved once from the ranges, so emission allocates
+/// only the stream and the pad frame.
+pub fn partial_bitstream(mem: &ConfigMemory, ranges: &[FrameRange]) -> Bitstream {
+    let _g = obs::span!("bitgen_partial", "runs" => ranges.len());
     let geom = mem.geometry();
-    pad.clear();
-    pad.resize(mem.frame_words(), 0); // pipeline pad frame
-    let mut w = BitstreamWriter::with_buffer(buf);
+    for range in ranges {
+        assert!(range.valid_for(geom), "frame range out of bounds");
+    }
+    let pad = vec![0; mem.frame_words()];
+    let mut w = BitstreamWriter::with_capacity(partial_capacity(mem.frame_words(), ranges));
     w.sync()
         .command(Command::Rcrc)
         .reset_crc()
         .write_reg(Register::Idcode, &[mem.device().idcode()])
         .write_reg(Register::Flr, &[geom.frame_words() as u32]);
     for range in ranges {
-        assert!(range.valid_for(geom), "frame range out of bounds");
         w.write_reg(Register::Far, &[far_word(geom, range.start)])
             .command(Command::Wcfg);
         w.write_reg_slices(
             Register::Fdri,
-            &[mem.frame_span(range.start, range.len), pad],
+            &[mem.frame_span(range.start, range.len), &pad],
         );
     }
     w.write_crc()
         .command(Command::Lfrm)
         .command(Command::Start)
         .command(Command::Desynch);
-    w.finish()
-}
-
-/// Counters shared by the serial and sharded emitters: packet runs,
-/// frames written (pad frames excluded), bytes out.
-fn record_emission(ranges: &[FrameRange], bits: &Bitstream) {
+    let bits = w.finish();
     obs::counter!("bitgen_runs_total").add(ranges.len() as u64);
     obs::counter!("bitgen_frames_emitted_total").add(ranges.iter().map(|r| r.len as u64).sum());
     obs::counter!("bitgen_bytes_total").add(bits.byte_len() as u64);
-}
-
-/// One range's packet run — `FAR` seek, `WCFG`, `FDRI` write of the
-/// frames plus the pipeline pad frame — with its CRC contribution
-/// computed from a zero register so sections can be built in any order
-/// (and on any worker) and spliced deterministically.
-struct RangeSection {
-    words: Vec<u32>,
-    crc: u16,
-    crc_bits: usize,
-}
-
-fn emit_range_section(mem: &ConfigMemory, range: FrameRange) -> RangeSection {
-    let _g = obs::span!("bitgen_shard", "frames" => range.len);
-    let geom = mem.geometry();
-    let fw = mem.frame_words();
-    let payload_len = (range.len + 1) * fw; // frames + pad frame
-    let mut words = Vec::with_capacity(payload_len + 6);
-    let mut crc = Crc16::new();
-
-    let far = far_word(geom, range.start);
-    words.push(Packet::write1(Register::Far, 1).encode());
-    words.push(far);
-    crc.update(Register::Far, far);
-
-    let wcfg = Command::Wcfg.code();
-    words.push(Packet::write1(Register::Cmd, 1).encode());
-    words.push(wcfg);
-    crc.update(Register::Cmd, wcfg);
-
-    if payload_len <= TYPE1_MAX_COUNT {
-        words.push(Packet::write1(Register::Fdri, payload_len).encode());
-    } else {
-        words.push(Packet::write1(Register::Fdri, 0).encode());
-        words.push(Packet::write2(payload_len).encode());
-    }
-    let payload_at = words.len();
-    words.extend_from_slice(mem.frame_span(range.start, range.len));
-    words.extend(std::iter::repeat_n(0, fw)); // pipeline pad frame
-    crc.update_slice(Register::Fdri, &words[payload_at..]);
-
-    RangeSection {
-        words,
-        crc: crc.value(),
-        // Covered words: the FAR word, the WCFG word and the FDRI payload
-        // (packet headers never enter the CRC).
-        crc_bits: (payload_len + 2) * BITS_PER_UPDATE,
-    }
-}
-
-/// [`partial_bitstream`], sharded across workers: each dirty range (one
-/// configuration column, or a contiguous run of them) is turned into its
-/// packet run and CRC contribution independently, then the sections are
-/// spliced in range order. The GF(2) linearity of the running CRC (see
-/// [`Crc16::combine`]) makes the splice exact, so the output is
-/// **byte-identical** to the serial generator's — a property the test
-/// suite pins across devices and random dirty sets.
-pub fn partial_bitstream_par(mem: &ConfigMemory, ranges: &[FrameRange]) -> Bitstream {
-    partial_bitstream_stitched(mem, ranges)
-}
-
-/// The sharded emitter behind [`partial_bitstream_par`]. Also worthwhile
-/// inline on a single worker: sections bulk-copy frame payloads and batch
-/// their CRC updates, where the serial writer streams word by word.
-pub fn partial_bitstream_stitched(mem: &ConfigMemory, ranges: &[FrameRange]) -> Bitstream {
-    let _g = obs::span!("bitgen_stitch", "runs" => ranges.len());
-    let geom = mem.geometry();
-    for range in ranges {
-        assert!(range.valid_for(geom), "frame range out of bounds");
-    }
-    let sections: Vec<RangeSection> = ranges
-        .par_iter()
-        .map(|r| emit_range_section(mem, *r))
-        .collect();
-
-    let mut w = BitstreamWriter::new();
-    w.sync()
-        .command(Command::Rcrc)
-        .reset_crc()
-        .write_reg(Register::Idcode, &[mem.device().idcode()])
-        .write_reg(Register::Flr, &[geom.frame_words() as u32]);
-    for s in &sections {
-        w.append_section(&s.words, s.crc, s.crc_bits);
-    }
-    w.write_crc()
-        .command(Command::Lfrm)
-        .command(Command::Start)
-        .command(Command::Desynch);
-    let bits = w.finish();
-    record_emission(ranges, &bits);
     bits
+}
+
+/// Alias of [`partial_bitstream`] for its one remaining caller,
+/// `perfbench/src/library_build.rs`; delete it once that calls
+/// [`partial_bitstream`].
+#[doc(hidden)]
+pub fn partial_bitstream_par(mem: &ConfigMemory, ranges: &[FrameRange]) -> Bitstream {
+    partial_bitstream(mem, ranges)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::packet::{Packet, TYPE1_MAX_COUNT};
     use virtex::Device;
 
     #[test]
@@ -430,7 +305,7 @@ mod tests {
         let runs = coalesce_frames_bridged(vec![3, 5, 6], 1);
         assert_eq!(runs, vec![FrameRange::new(3, 4)]);
         let mut dev = crate::Interpreter::new(Device::XCV50);
-        dev.feed(&partial_bitstream_par(&mem, &runs)).unwrap();
+        dev.feed(&partial_bitstream(&mem, &runs)).unwrap();
         assert_eq!(dev.memory(), &mem);
     }
 
@@ -478,7 +353,7 @@ mod tests {
         let runs = coalesce_frames_bridged_bounded(mem.dirty_frames(), 1, &[23]);
         assert_eq!(runs, vec![FrameRange::new(20, 3), FrameRange::new(23, 1)]);
         let mut dev = crate::Interpreter::new(Device::XCV50);
-        dev.feed(&partial_bitstream_par(&mem, &runs)).unwrap();
+        dev.feed(&partial_bitstream(&mem, &runs)).unwrap();
         assert_eq!(dev.memory(), &mem);
     }
 
@@ -488,59 +363,6 @@ mod tests {
         let mem = ConfigMemory::new(Device::XCV50);
         let total = mem.geometry().total_frames();
         let _ = partial_bitstream(&mem, &[FrameRange::new(total - 1, 2)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn partial_stitched_rejects_out_of_range() {
-        let mem = ConfigMemory::new(Device::XCV50);
-        let total = mem.geometry().total_frames();
-        let _ = partial_bitstream_stitched(&mem, &[FrameRange::new(total - 1, 2)]);
-    }
-
-    #[test]
-    fn stitched_partial_is_byte_identical_to_serial() {
-        let mut mem = ConfigMemory::new(Device::XCV100);
-        for f in [0, 9, 300, 301, 700] {
-            mem.frame_mut(f)[0] = 0xC0DE_0000 | f as u32;
-        }
-        let geom = mem.geometry().clone();
-        let m1 = geom.major_for_clb_col(3).unwrap();
-        let m2 = geom.major_for_clb_col(17).unwrap();
-        let ranges = [
-            FrameRange::new(0, 2),
-            FrameRange::for_column(&geom, BlockType::Clb, m1).unwrap(),
-            FrameRange::for_column(&geom, BlockType::Clb, m2).unwrap(),
-            FrameRange::new(700, 1),
-        ];
-        let serial = partial_bitstream(&mem, &ranges);
-        let par = partial_bitstream_stitched(&mem, &ranges);
-        assert_eq!(serial.to_bytes(), par.to_bytes());
-    }
-
-    #[test]
-    fn pooled_partial_is_byte_identical_and_reuses_buffers() {
-        let mut mem = ConfigMemory::new(Device::XCV100);
-        for f in [0, 9, 300, 301, 700] {
-            mem.frame_mut(f)[0] = 0xC0DE_0000 | f as u32;
-        }
-        let ranges = [
-            FrameRange::new(0, 2),
-            FrameRange::new(299, 4),
-            FrameRange::new(700, 1),
-        ];
-        let mut scratch = GenScratch::new();
-        let first = partial_bitstream_pooled(&mem, &ranges, &mut scratch);
-        assert_eq!(first, partial_bitstream(&mem, &ranges));
-        let words = first.into_words();
-        let cap = words.capacity();
-        scratch.recycle(Bitstream::from_words(words));
-        // Different content, same shape: second pass reuses the buffer
-        // and still matches the fresh serial generator.
-        mem.frame_mut(300)[1] = 0xFEED_F00D;
-        let second = partial_bitstream_pooled(&mem, &ranges, &mut scratch);
-        assert_eq!(second, partial_bitstream(&mem, &ranges));
-        assert!(second.into_words().capacity() >= cap);
     }
 
     #[test]
@@ -556,23 +378,44 @@ mod tests {
     }
 
     #[test]
-    fn stitched_partial_handles_type2_payloads() {
+    fn partial_handles_type2_payloads() {
         // A range long enough that the FDRI write needs a type-2 header.
-        let mem = ConfigMemory::new(Device::XCV300);
+        let mut mem = ConfigMemory::new(Device::XCV300);
         let need = TYPE1_MAX_COUNT / mem.frame_words() + 2;
+        mem.set_bit(10, 1, true);
+        mem.set_bit(10 + need - 1, 2, true);
         let ranges = [FrameRange::new(10, need)];
-        let serial = partial_bitstream(&mem, &ranges);
-        let par = partial_bitstream_stitched(&mem, &ranges);
-        assert_eq!(serial, par);
+        let bits = partial_bitstream(&mem, &ranges);
+        let words = bits.words();
+        let fdri = words
+            .iter()
+            .position(|&w| w == Packet::write1(Register::Fdri, 0).encode())
+            .expect("zero-count FDRI header");
+        let payload = (need + 1) * mem.frame_words();
+        assert_eq!(words[fdri + 1], Packet::write2(payload).encode());
+        assert!(bits.word_len() <= partial_capacity(mem.frame_words(), &ranges));
+        let mut dev = crate::Interpreter::new(Device::XCV300);
+        dev.feed(&bits).unwrap();
+        assert_eq!(dev.memory(), &mem);
     }
 
     #[test]
-    fn stitched_partial_with_no_ranges_matches_serial() {
-        let mem = ConfigMemory::new(Device::XCV50);
-        assert_eq!(
-            partial_bitstream(&mem, &[]),
-            partial_bitstream_stitched(&mem, &[])
-        );
+    fn partial_with_no_ranges_applies_as_a_no_op() {
+        let mut mem = ConfigMemory::new(Device::XCV50);
+        mem.set_bit(7, 3, true);
+        let bits = partial_bitstream(&mem, &[]);
+        assert_eq!(bits.word_len(), partial_capacity(mem.frame_words(), &[]));
+        let mut dev = crate::Interpreter::new(Device::XCV50);
+        dev.feed(&bits).unwrap();
+        assert_eq!(dev.memory(), &ConfigMemory::new(Device::XCV50));
+        assert_eq!(dev.stats().crc_checks, 1);
+    }
+
+    #[test]
+    fn valid_for_rejects_ranges_whose_end_overflows() {
+        let geom = Device::XCV50.config_geometry();
+        assert!(!FrameRange::new(usize::MAX, 2).valid_for(&geom));
+        assert!(!FrameRange::new(1, usize::MAX).valid_for(&geom));
     }
 
     #[test]

@@ -55,12 +55,6 @@ impl Bitstream {
             .collect();
         Some(Bitstream { words })
     }
-
-    /// Take back the word buffer, e.g. to recycle its allocation through
-    /// [`BitstreamWriter::with_buffer`].
-    pub fn into_words(self) -> Vec<u32> {
-        self.words
-    }
 }
 
 /// Builds a packet stream with a correctly maintained running CRC, exactly
@@ -81,16 +75,14 @@ impl Default for BitstreamWriter {
 impl BitstreamWriter {
     /// Start an empty stream.
     pub fn new() -> Self {
-        Self::with_buffer(Vec::new())
+        Self::with_capacity(0)
     }
 
-    /// Start an empty stream on a recycled word buffer (cleared, capacity
-    /// kept) — the steady-state-allocation-free entry point for repeated
-    /// generation.
-    pub fn with_buffer(mut words: Vec<u32>) -> Self {
-        words.clear();
+    /// Start an empty stream with room for `words` words, so a caller
+    /// that knows the stream's size up front never reallocates.
+    pub fn with_capacity(words: usize) -> Self {
         BitstreamWriter {
-            words,
+            words: Vec::with_capacity(words),
             crc: Crc16::new(),
             synced: false,
         }
@@ -272,20 +264,6 @@ mod tests {
         let mut b = BitstreamWriter::new();
         b.sync().write_reg_auto(Register::Far, &small);
         assert_eq!(a.finish(), b.finish());
-    }
-
-    #[test]
-    fn with_buffer_recycles_capacity_and_clears() {
-        let mut w = BitstreamWriter::new();
-        w.sync().write_reg(Register::Far, &[0xAB]);
-        let words = w.finish().into_words();
-        let cap = words.capacity();
-        assert!(!words.is_empty());
-        let mut w2 = BitstreamWriter::with_buffer(words);
-        w2.sync().command(Command::Rcrc);
-        let bs = w2.finish();
-        assert_eq!(bs.words()[0], DUMMY_WORD, "stale words cleared");
-        assert!(bs.into_words().capacity() >= cap.min(4));
     }
 
     #[test]

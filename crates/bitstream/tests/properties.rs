@@ -62,7 +62,7 @@ proptest! {
             mem.set_bit(f % frames, b % frame_bits, true);
         }
         let ranges = coalesce_frames(mem.dirty_frames());
-        let partial = bitgen::partial_bitstream_par(&mem, &ranges);
+        let partial = bitgen::partial_bitstream(&mem, &ranges);
         let mut dev = Interpreter::new(Device::XCV50);
         dev.feed(&partial).expect("partial decodes cleanly");
         prop_assert_eq!(dev.memory(), &mem);
@@ -194,7 +194,7 @@ proptest! {
         let b = coalesce_frames(shuffled);
         prop_assert_eq!(&a, &b);
         let bs_a = bitgen::partial_bitstream(&mem, &a);
-        let bs_b = bitgen::partial_bitstream_par(&mem, &b);
+        let bs_b = bitgen::partial_bitstream(&mem, &b);
         prop_assert_eq!(bs_a.to_bytes(), bs_b.to_bytes());
     }
 }

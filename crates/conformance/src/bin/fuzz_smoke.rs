@@ -2,7 +2,7 @@
 //!
 //! Deterministic: seeds run `base..base+cases`, so a CI failure
 //! reproduces locally with the printed seed. Three seeds in four drive a
-//! full differential-harness case, the fourth a packet-fuzz case; with
+//! full harness case, the fourth a packet-fuzz case; with
 //! `--self-check` the seeded-mutation gate runs too (at least nine of
 //! the ten seeded bugs must be detected).
 //!

@@ -6,11 +6,10 @@
 //! * [`campaign`] — seeded random JBits write campaigns (LUT tables,
 //!   BRAM content, raw configuration-plane pokes) over devices from
 //!   XCV50 to XCV1000;
-//! * [`harness`] — the differential core: every campaign runs through
-//!   the serial, parallel and stitched partial generators (asserting
-//!   byte-identical output), is played onto a device-side interpreter
-//!   under honest and adversarial schedules, and is readback-compared
-//!   against the in-memory oracle;
+//! * [`harness`] — the core: every campaign's partial is played onto a
+//!   device-side interpreter under honest and adversarial schedules and
+//!   readback-compared against the in-memory oracle, and project cases
+//!   cross-check the three `JpgProject` generators on one board oracle;
 //! * [`fuzz`] — structured packet-level fuzzing of the interpreter:
 //!   truncations, bad opcodes, CRC corruption, duplicate SYNC — every
 //!   corruption must surface a typed [`bitstream::ConfigError`] with a

@@ -200,13 +200,11 @@ impl JpgProject {
         constraints: &Constraints,
     ) -> Result<PartialResult, JpgError> {
         let stamped = self.stamp_module(design, constraints)?;
-        // The target columns wholesale, coalesced into maximal runs, and
-        // emitted with the column-sharded parallel generator (its output
-        // is byte-identical to the serial path; the test suite pins it).
+        // The target columns wholesale, coalesced into maximal runs.
         let _g = obs::span!("generate");
         let frames: Vec<usize> = stamped.ranges.iter().flat_map(|r| r.frames()).collect();
         let runs = bitgen::coalesce_frames(frames);
-        let bits = bitgen::partial_bitstream_par(&stamped.memory, &runs);
+        let bits = bitgen::partial_bitstream(&stamped.memory, &runs);
         let total_frames: usize = runs.iter().map(|r| r.len).sum();
         drop(_g);
         Ok(self.finish_partial(design, constraints, stamped, bits, total_frames))
@@ -265,7 +263,7 @@ impl JpgProject {
         // cheaper than a fresh packet run plus its pipeline pad frame.
         let _g = obs::span!("generate");
         let runs = bitgen::coalesce_frames_bridged(frames, 1);
-        let bits = bitgen::partial_bitstream_par(memory, &runs);
+        let bits = bitgen::partial_bitstream(memory, &runs);
         let total_frames: usize = runs.iter().map(|r| r.len).sum();
         drop(_g);
         Ok(self.finish_partial(design, constraints, stamped, bits, total_frames))
@@ -274,9 +272,11 @@ impl JpgProject {
     /// The pre-incremental reference engine, kept as a cross-check and
     /// as the baseline `benches/par_generation` measures against: stamp
     /// the module, decide what to emit with a ground-truth **full-memory
-    /// diff** against the base (no dirty byproduct, no frame cache),
-    /// expand the diff to whole configuration columns and emit with the
-    /// **serial** writer — the classic JBitsDiff column flow.
+    /// diff** against the base (no dirty byproduct, no frame cache) and
+    /// expand the diff to whole configuration columns — the classic
+    /// JBitsDiff column flow. It picks frames without the dirty marks or
+    /// the cache, so it is the oracle for the other generators' frame
+    /// selection; all three share [`bitgen::partial_bitstream`].
     ///
     /// Like [`Self::generate_partial_from`], the output covers whole
     /// columns, so it is safe to apply over any earlier variant.

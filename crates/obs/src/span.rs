@@ -5,7 +5,7 @@
 //! No external tracing crate: a [`Span`] is an RAII guard that notes the
 //! wall-clock on entry and records a [`SpanEvent`] on drop. Nesting
 //! depth is tracked per thread, so a collector can reconstruct the
-//! stage tree (`generate` containing `bitgen_shard`s, and so on). For
+//! stage tree (`generate` containing `bitgen_partial`, and so on). For
 //! stages whose duration is *simulated* rather than measured — SelectMAP
 //! port time in `simboard`/`fleet` — [`record_duration`] emits an event
 //! with the model's duration directly.
@@ -321,8 +321,18 @@ mod tests {
     use super::*;
 
     // Span tests share per-thread state; each uses its own thread to
-    // stay independent of test-runner threading.
+    // stay independent of test-runner threading. They also share the
+    // process-wide enable switch and collector slot, so tests that
+    // record hold `GLOBAL` to keep one test's `set_enabled(false)` from
+    // silencing another's spans.
+    static GLOBAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn lock_global() -> std::sync::MutexGuard<'static, ()> {
+        GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
+        let _global = lock_global();
         std::thread::scope(|s| s.spawn(f).join().expect("test thread"))
     }
 
@@ -404,6 +414,7 @@ mod tests {
     #[test]
     #[cfg(not(feature = "obs-off"))]
     fn collector_sees_cross_thread_events() {
+        let _global = lock_global();
         let c = Arc::new(VecCollector::new(1024));
         set_collector(Some(c.clone()));
         std::thread::scope(|s| {

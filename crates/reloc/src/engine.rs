@@ -175,8 +175,7 @@ struct MovedRun<'a> {
 }
 
 /// Emit one run as an independent section with its CRC contribution
-/// computed from a zero register — the relocation twin of the sharded
-/// generator's `emit_range_section`.
+/// computed from a zero register, for [`BitstreamWriter::append_section`].
 fn emit_moved_section(
     geom: &ConfigGeometry,
     fw: usize,

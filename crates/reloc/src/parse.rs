@@ -2,7 +2,8 @@
 //!
 //! Relocation must not guess: before any `FAR` is rewritten, the input
 //! is parsed against the exact wire shape every generator in this
-//! workspace emits (serial, pooled and stitched are byte-identical):
+//! workspace emits (`bitstream::partial_bitstream` and the relocation
+//! engine's spliced sections produce the same shape):
 //!
 //! ```text
 //! DUMMY SYNC
