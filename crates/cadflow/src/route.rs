@@ -23,12 +23,13 @@
 //! best cost, predecessor and tree flag — lives in arrays, not hash maps.
 //! The window is whole columns (the `region_cols` region, or the device
 //! with its IOB ring) at full height; a wire's id is its column-major
-//! tile index times `SLOTS` (106) plus its kind's slot. Wires a route names
-//! outside the window — the four global clock anchors at `(0, 0)` and
-//! task pins outside the region, such as a clock pad on the ring — get
-//! ids past the window from a short *extras* list built up front. The
-//! window is deliberately not widened to reach them: that would map
-//! state for columns no search enters.
+//! tile index times `WireKind::SLOTS` (106) plus `WireKind::slot`, the
+//! packing the PIP tables share. Wires a route names outside the window
+//! — the four global clock anchors at `(0, 0)` and task pins outside the
+//! region, such as a clock pad on the ring — get ids past the window
+//! from a short *extras* list built up front. The window is deliberately
+//! not widened to reach them: that would map state for columns no search
+//! enters.
 //!
 //! Clock nets bypass general routing: they ride the dedicated global
 //! clock tree (`PadIn → GCLK → CLK` pips), exactly as the silicon does.
@@ -38,9 +39,7 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::fmt;
-use virtex::routing::{
-    GLOBAL_CLOCKS, HEX_PER_DIR, LONGS_PER_TRACK, OMUX_COUNT, PADS_PER_IOB, SINGLES_PER_DIR,
-};
+use virtex::routing::GLOBAL_CLOCKS;
 use virtex::{
     Device, IobCoord, Pip, RoutingGraph, SliceCoord, SlicePin, TileCoord, Wire, WireKind,
 };
@@ -225,50 +224,13 @@ impl PartialOrd for HeapItem {
     }
 }
 
-/// Slots per tile in the dense wire window: every [`WireKind`] a tile can
-/// anchor, packed by [`slot`].
-const SLOTS: usize = 106;
-const SLOT_OMUX: usize = 2 * SlicePin::ALL.len();
-const SLOT_SINGLE: usize = SLOT_OMUX + OMUX_COUNT;
-const SLOT_HEX: usize = SLOT_SINGLE + 4 * SINGLES_PER_DIR;
-const SLOT_LONG: usize = SLOT_HEX + 4 * HEX_PER_DIR;
-const SLOT_PAD_IN: usize = SLOT_LONG + 2 * LONGS_PER_TRACK;
-const SLOT_PAD_OUT: usize = SLOT_PAD_IN + PADS_PER_IOB;
-const SLOT_GCLK: usize = SLOT_PAD_OUT + PADS_PER_IOB;
-const _: () = assert!(SLOT_GCLK + GLOBAL_CLOCKS == SLOTS);
-
-/// A wire kind's slot within its tile, or `None` for an out-of-range
-/// index (which no real wire has).
-fn slot(kind: WireKind) -> Option<usize> {
-    let (base, count, i) = match kind {
-        WireKind::SlicePin { slice, pin } => {
-            return Some(slice.index() * SlicePin::ALL.len() + pin.index())
-        }
-        WireKind::Omux(j) => (SLOT_OMUX, OMUX_COUNT, j),
-        WireKind::Single { dir, idx } => (
-            SLOT_SINGLE + dir.index() * SINGLES_PER_DIR,
-            SINGLES_PER_DIR,
-            idx,
-        ),
-        WireKind::Hex { dir, idx } => (SLOT_HEX + dir.index() * HEX_PER_DIR, HEX_PER_DIR, idx),
-        WireKind::Long { horiz, idx } => (
-            SLOT_LONG + usize::from(horiz) * LONGS_PER_TRACK,
-            LONGS_PER_TRACK,
-            idx,
-        ),
-        WireKind::PadIn(p) => (SLOT_PAD_IN, PADS_PER_IOB, p),
-        WireKind::PadOut(p) => (SLOT_PAD_OUT, PADS_PER_IOB, p),
-        WireKind::GlobalClock(k) => (SLOT_GCLK, GLOBAL_CLOCKS, k),
-    };
-    (usize::from(i) < count).then_some(base + usize::from(i))
-}
-
 /// A dense numbering of every wire one `route()` call can touch.
 ///
 /// The window is a block of whole columns (the region's, or the device's
 /// including the IOB ring) at full height, ring rows included. A wire at
-/// tile `(row, col)` gets `((col − c0) · nrows + row + 1) · SLOTS + slot`:
-/// column-major, so a region's ids are contiguous. The few wires a route
+/// tile `(row, col)` gets `((col − c0) · nrows + row + 1) · SLOTS + slot`
+/// ([`WireKind::SLOTS`], [`WireKind::slot`]): column-major, so a region's
+/// ids are contiguous. The few wires a route
 /// can name outside the window — the global clock anchors at `(0, 0)` and
 /// task pins outside the region, such as a clock pad on the ring — get
 /// ids past the window from a short sorted list. Every search wire passes
@@ -310,7 +272,7 @@ impl WireWindow {
 
     /// Ids below this are inside the window.
     fn window_len(&self) -> usize {
-        (self.ncols * self.nrows) as usize * SLOTS
+        (self.ncols * self.nrows) as usize * WireKind::SLOTS
     }
 
     /// Number of ids.
@@ -326,7 +288,7 @@ impl WireWindow {
         if !(0..self.ncols).contains(&c) || !(0..self.nrows).contains(&r) {
             return None;
         }
-        Some((c * self.nrows + r) as usize * SLOTS + slot(w.kind)?)
+        Some((c * self.nrows + r) as usize * WireKind::SLOTS + w.kind.slot()?)
     }
 
     /// The dense id of `w`.
@@ -719,8 +681,8 @@ fn estimate(from: TileCoord, to: TileCoord) -> f64 {
 
 /// Check the legality of a routed design: every routed net forms a
 /// connected tree from its source covering all sinks, PIPs exist in the
-/// fabric, and no wire is used by two nets. Returns a description of the
-/// first violation.
+/// fabric at their location tiles, and no wire is used by two nets.
+/// Returns a description of the first violation.
 pub fn verify_routing(design: &Design) -> Result<(), String> {
     let graph = RoutingGraph::new(design.device);
     let mut owner: HashMap<Wire, &str> = HashMap::new();
@@ -734,14 +696,8 @@ pub fn verify_routing(design: &Design) -> Result<(), String> {
         let source = pin_wire(design, outpin).map_err(|e| format!("net {}: {e}", net.name))?;
         let mut reached: HashSet<Wire> = [source].into_iter().collect();
         for pip in &net.pips {
-            // PIP must exist (clock-tree pips are virtual but validated
-            // structurally).
-            let ok = match (pip.from.kind, pip.to.kind) {
-                (WireKind::PadIn(_), WireKind::GlobalClock(_)) => true,
-                (WireKind::GlobalClock(_), WireKind::SlicePin { .. }) => true,
-                _ => graph.find_pip(pip.from, pip.to).is_some(),
-            };
-            if !ok {
+            // The PIP, clock tree included, must exist at its location.
+            if graph.pip_index(pip).is_none() {
                 return Err(format!("net {}: pip {} not in fabric", net.name, pip));
             }
             if !reached.contains(&pip.from) {
@@ -800,49 +756,14 @@ mod tests {
         d
     }
 
-    /// Every wire kind a tile can anchor, each index in range.
-    fn all_kinds() -> Vec<WireKind> {
-        let mut kinds = Vec::new();
-        for slice in virtex::SliceId::ALL {
-            for pin in SlicePin::ALL {
-                kinds.push(WireKind::SlicePin { slice, pin });
-            }
-        }
-        kinds.extend((0..OMUX_COUNT as u8).map(WireKind::Omux));
-        for dir in virtex::Dir::ALL {
-            kinds.extend((0..SINGLES_PER_DIR as u8).map(|idx| WireKind::Single { dir, idx }));
-            kinds.extend((0..HEX_PER_DIR as u8).map(|idx| WireKind::Hex { dir, idx }));
-        }
-        for horiz in [false, true] {
-            kinds.extend((0..LONGS_PER_TRACK as u8).map(|idx| WireKind::Long { horiz, idx }));
-        }
-        kinds.extend((0..PADS_PER_IOB as u8).map(WireKind::PadIn));
-        kinds.extend((0..PADS_PER_IOB as u8).map(WireKind::PadOut));
-        kinds.extend((0..GLOBAL_CLOCKS as u8).map(WireKind::GlobalClock));
-        kinds
-    }
-
-    #[test]
-    fn slots_pack_every_kind_densely() {
-        let mut slots: Vec<usize> = all_kinds().into_iter().map(|k| slot(k).unwrap()).collect();
-        slots.sort_unstable();
-        assert_eq!(slots, (0..SLOTS).collect::<Vec<_>>());
-        assert_eq!(
-            slot(WireKind::Single {
-                dir: virtex::Dir::West,
-                idx: 8
-            }),
-            None
-        );
-        assert_eq!(slot(WireKind::PadIn(4)), None);
-    }
-
     /// Every existing wire inside `window`'s columns gets a distinct id
     /// below `len()`; returns how many there were.
     fn assert_window_ids_distinct(device: Device, window: &WireWindow, cols: (i32, i32)) -> usize {
         let graph = RoutingGraph::new(device);
         let rows = device.geometry().clb_rows as i32;
-        let kinds = all_kinds();
+        let kinds: Vec<WireKind> = (0..WireKind::SLOTS)
+            .filter_map(WireKind::from_slot)
+            .collect();
         let mut seen = vec![false; window.len()];
         let mut count = 0;
         for col in cols.0..=cols.1 {
@@ -882,12 +803,12 @@ mod tests {
 
             let height = device.geometry().clb_rows + 2;
             let region = WireWindow::new(device, Some((4, 11)), []);
-            assert_eq!(region.window_len(), 8 * height * SLOTS);
+            assert_eq!(region.window_len(), 8 * height * WireKind::SLOTS);
             assert!(assert_window_ids_distinct(device, &region, (4, 11)) > 0);
 
             // A region reaching past the device stops at the IOB ring.
             let clipped = WireWindow::new(device, Some((cols - 3, cols + 1000)), []);
-            assert_eq!(clipped.window_len(), 4 * height * SLOTS);
+            assert_eq!(clipped.window_len(), 4 * height * WireKind::SLOTS);
             assert!(assert_window_ids_distinct(device, &clipped, (cols - 3, cols)) > 0);
             let beyond = WireWindow::new(device, Some((cols + 5, cols + 9)), []);
             assert_eq!(beyond.window_len(), 0);

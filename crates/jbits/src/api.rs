@@ -85,8 +85,8 @@ impl Jbits {
     }
 
     /// The layout (shared with tools that need raw positions).
-    pub fn layout_mut(&mut self) -> &mut Layout {
-        &mut self.layout
+    pub fn layout(&self) -> &Layout {
+        &self.layout
     }
 
     // ----- slice logic ---------------------------------------------------
@@ -102,7 +102,7 @@ impl Jbits {
     }
 
     /// Get a slice resource.
-    pub fn get(&mut self, tile: TileCoord, res: ClbResource) -> ResourceValue {
+    pub fn get(&self, tile: TileCoord, res: ClbResource) -> ResourceValue {
         self.layout.read_clb(&self.mem, tile, res)
     }
 
@@ -139,7 +139,7 @@ impl Jbits {
     }
 
     /// Get an IOB pad resource.
-    pub fn get_iob(&mut self, tile: TileCoord, pad: u8, res: IobResource) -> ResourceValue {
+    pub fn get_iob(&self, tile: TileCoord, pad: u8, res: IobResource) -> ResourceValue {
         self.layout
             .read_iob(&self.mem, IobCoord::new(tile, pad), res)
     }
@@ -159,7 +159,7 @@ impl Jbits {
     }
 
     /// Whether a PIP is enabled. `None` if it does not exist.
-    pub fn get_pip(&mut self, pip: &Pip) -> Option<bool> {
+    pub fn get_pip(&self, pip: &Pip) -> Option<bool> {
         self.layout
             .pip_pos(pip)
             .map(|pos| self.mem.get_bit(pos.frame, pos.bit))
@@ -229,7 +229,7 @@ impl Jbits {
 
     /// Whether any configuration bit in `tile`'s window is set — a fast
     /// emptiness test decoders use to skip untouched tiles.
-    pub fn tile_in_use(&mut self, tile: TileCoord) -> bool {
+    pub fn tile_in_use(&self, tile: TileCoord) -> bool {
         self.layout.tile_in_use(&self.mem, tile)
     }
 

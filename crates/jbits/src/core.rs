@@ -106,13 +106,14 @@ fn shift_wire(w: Wire, dc: i32) -> Wire {
 impl RtpCore {
     /// Capture every non-default resource and enabled PIP in the
     /// full-height column range `cols` (top/bottom ring included).
-    /// Coordinates are stored relative to `cols.start()`.
+    /// Coordinates are stored relative to `cols.start()`. PIPs come from
+    /// a walk over each tile's set PIP bits, in canonical order.
     pub fn extract(jb: &mut Jbits, cols: RangeInclusive<usize>) -> RtpCore {
         let device = jb.device();
         let g = device.geometry();
         let c0 = *cols.start() as i32;
         let mut ops = Vec::new();
-        let graph = virtex::RoutingGraph::new(device);
+        let layout = jb.layout();
         for col in cols.clone() {
             // Ring + CLB rows of this column.
             for row in -1..=(g.clb_rows as i32) {
@@ -154,14 +155,13 @@ impl RtpCore {
                     }
                     _ => continue,
                 }
-                for pip in graph.tile_pips(tile) {
-                    if jb.get_pip(&pip) == Some(true) {
-                        ops.push(CoreOp::Pip {
-                            loc: shift_tile(pip.loc, -c0),
-                            from: shift_wire(pip.from, -c0),
-                            to: shift_wire(pip.to, -c0),
-                        });
-                    }
+                let set = layout.set_pip_indices(jb.memory(), tile);
+                for pip in set.filter_map(|i| layout.graph().tile_pip(tile, i)) {
+                    ops.push(CoreOp::Pip {
+                        loc: shift_tile(pip.loc, -c0),
+                        from: shift_wire(pip.from, -c0),
+                        to: shift_wire(pip.to, -c0),
+                    });
                 }
             }
         }

@@ -7,20 +7,27 @@
 //!
 //! * **CLB tiles** use their CLB column and row slot `row + 1`; bits
 //!   `0..ClbResource::total_bits()` hold slice logic in canonical
-//!   [`virtex::ClbResource::all`] order, followed by one bit per PIP in
-//!   [`virtex::RoutingGraph::tile_pips`] order.
+//!   [`virtex::ClbResource::all`] order and four CAPTURE slots, followed
+//!   by one bit per PIP in [`virtex::RoutingGraph::tile_pip`] order.
 //! * **Top/bottom IOB tiles** use the same CLB column but the pad row
 //!   slots (0 and `rows + 1`); **left/right IOB tiles** use the IOB
 //!   columns. Bits `0..PADS_PER_IOB * 7` hold pad logic, then PIPs.
 //!
 //! Budget: a CLB's window is 48 frames × 18 bits = 864 bits; slice logic
-//! uses ~110 and the switch box ~540, asserted in tests.
+//! uses ~110 and the switch box at most 624, asserted in tests.
+//!
+//! PIP positions need no table of their own. A CLB's PIP list is its
+//! kind's fixed *superset* in relative wire coordinates, less the groups
+//! of hex and long taps the tile lacks near the die edges; an IOB tile
+//! holds its edge kind's whole superset (see [`virtex::routing`]). So a
+//! PIP's bit is one binary search of an immutable process-wide table plus
+//! a sum over the tile's absent groups, and [`Layout`] keeps no state
+//! beyond its column table.
 
-use std::collections::HashMap;
 use virtex::config::{Side, BITS_PER_ROW};
 use virtex::{
     ClbResource, ColumnKind, ConfigGeometry, ConfigMemory, Device, IobCoord, IobResource, Pip,
-    ResourceValue, RoutingGraph, TileCoord, TileKind, Wire,
+    ResourceValue, RoutingGraph, TileCoord, TileKind,
 };
 
 /// CAPTURE slots per CLB tile: the four flip-flops' state, written into
@@ -63,11 +70,7 @@ impl TileWindow {
     }
 }
 
-/// `(from, to) -> tile-local pip index`, sorted for binary search.
-type PipTable = Vec<((Wire, Wire), u32)>;
-
-/// The device-wide layout: a per-column frame table plus lazily built
-/// per-tile PIP lookup tables.
+/// The device-wide layout: a per-column frame table.
 #[derive(Debug)]
 pub struct Layout {
     device: Device,
@@ -80,12 +83,10 @@ pub struct Layout {
     /// CAPTURE slots (flip-flop snapshots for readback) come first, an
     /// IOB's pad logic.
     pip_base: (usize, usize),
-    /// Per-tile PIP tables, built by [`Layout::pip_pos`] only.
-    pips: HashMap<TileCoord, PipTable>,
 }
 
 impl Layout {
-    /// Build the layout for `device`: O(columns), no PIP table yet.
+    /// Build the layout for `device`: O(columns).
     pub fn new(device: Device) -> Self {
         let geom = ConfigGeometry::for_device(device);
         let clb_cols = device.geometry().clb_cols;
@@ -105,7 +106,6 @@ impl Layout {
             graph: RoutingGraph::new(device),
             columns,
             pip_base: (ClbResource::total_bits() + CAPTURE_BITS, iob_logic_bits()),
-            pips: HashMap::new(),
         }
     }
 
@@ -184,23 +184,15 @@ impl Layout {
     }
 
     /// Bit position of a PIP's enable bit, or `None` if the PIP does not
-    /// exist in the fabric. The first lookup on a tile builds and caches
-    /// its PIP table.
-    pub fn pip_pos(&mut self, pip: &Pip) -> Option<BitPos> {
-        let graph = &self.graph;
-        let table = self.pips.entry(pip.loc).or_insert_with(|| {
-            let pips = graph.tile_pips(pip.loc).into_iter().enumerate();
-            let mut t: Vec<_> = pips.map(|(i, p)| ((p.from, p.to), i as u32)).collect();
-            t.sort_unstable_by_key(|a| a.0);
-            t
-        });
-        let found = table.binary_search_by_key(&(pip.from, pip.to), |e| e.0);
-        let index = found.map(|i| table[i].1 as usize).ok()?;
+    /// exist in the fabric: [`RoutingGraph::pip_index`], then
+    /// [`Layout::pip_bit`].
+    pub fn pip_pos(&self, pip: &Pip) -> Option<BitPos> {
+        let index = self.graph.pip_index(pip)?;
         Some(self.pip_bit(pip.loc, index))
     }
 
     /// Bit position of the enable bit of PIP number `index` in `tile`'s
-    /// canonical [`RoutingGraph::tile_pips`] order — the order that
+    /// canonical [`RoutingGraph::tile_pip`] order — the order that
     /// defines the bit assignment — with no table lookup.
     pub fn pip_bit(&self, tile: TileCoord, index: usize) -> BitPos {
         let w = self.window(tile);
@@ -246,8 +238,8 @@ impl Layout {
     /// Canonical PIP indices (as [`Layout::pip_bit`] numbers them) whose
     /// enable bits are set in `mem`, ascending: a walk over the set bits
     /// of `tile`'s window at or past its PIP base. Set bits past the
-    /// tile's last PIP are yielded too; only the routing graph knows
-    /// where the PIPs end.
+    /// tile's last PIP are yielded too; [`RoutingGraph::tile_pip`]
+    /// returns `None` for them.
     pub fn set_pip_indices<'a>(
         &self,
         mem: &'a ConfigMemory,
@@ -266,11 +258,6 @@ impl Layout {
                 })
             })
             .filter_map(move |local| local.checked_sub(w.pip_base))
-    }
-
-    /// How many tiles have a cached PIP table (test/diagnostic aid).
-    pub fn cached_tiles(&self) -> usize {
-        self.pips.len()
     }
 }
 
@@ -328,12 +315,12 @@ fn iob_resource_offset(pad: u8, res: IobResource) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use virtex::{SliceId, SliceResource};
+    use virtex::{SliceId, SliceResource, Wire};
 
     #[test]
     fn clb_window_fits_budget_everywhere() {
         // Worst case: every CLB tile's logic + pips must fit 48 frames.
-        let mut layout = Layout::new(Device::XCV50);
+        let layout = Layout::new(Device::XCV50);
         let g = Device::XCV50.geometry();
         for &row in &[0usize, g.clb_rows / 2, g.clb_rows - 1] {
             for &col in &[0usize, g.clb_cols / 2, g.clb_cols - 1] {
@@ -369,7 +356,7 @@ mod tests {
 
     #[test]
     fn capture_slots_do_not_collide_with_logic_or_pips() {
-        let mut layout = Layout::new(Device::XCV50);
+        let layout = Layout::new(Device::XCV50);
         let tile = TileCoord::new(5, 5);
         let mut seen = std::collections::HashSet::new();
         let w = layout.window(tile);
@@ -385,7 +372,7 @@ mod tests {
                 assert!(seen.insert(p), "capture slot collides at {p:?}");
             }
         }
-        for pip in layout.graph().tile_pips(tile).clone() {
+        for pip in layout.graph().tile_pips(tile) {
             let p = layout.pip_pos(&pip).unwrap();
             assert!(seen.insert(p), "pip collides with capture at {p:?}");
         }
@@ -408,7 +395,7 @@ mod tests {
 
     #[test]
     fn iob_tiles_have_windows() {
-        let mut layout = Layout::new(Device::XCV50);
+        let layout = Layout::new(Device::XCV50);
         let g = Device::XCV50.geometry();
         for tile in [
             TileCoord::new(-1, 3),
@@ -419,7 +406,7 @@ mod tests {
             let pos = layout.iob_resource_bit(IobCoord::new(tile, 2), IobResource::OutputEnable, 0);
             assert!(pos.frame < layout.geometry().total_frames());
             // All pips of the tile resolve.
-            for p in layout.graph().tile_pips(tile).clone() {
+            for p in layout.graph().tile_pips(tile) {
                 assert!(layout.pip_pos(&p).is_some(), "{p} has no bit");
             }
         }
@@ -440,7 +427,7 @@ mod tests {
 
     #[test]
     fn nonexistent_pip_has_no_position() {
-        let mut layout = Layout::new(Device::XCV50);
+        let layout = Layout::new(Device::XCV50);
         let t = TileCoord::new(3, 3);
         let bogus = Pip {
             loc: t,
@@ -451,29 +438,33 @@ mod tests {
     }
 
     #[test]
-    fn cache_grows_lazily() {
-        // Windows are arithmetic on the column table: logic, IOB,
-        // capture and bounds queries cache nothing.
-        let mut layout = Layout::new(Device::XCV50);
-        let (clb, iob) = (TileCoord::new(0, 0), TileCoord::new(-1, 0));
-        layout.clb_resource_bit(clb, ClbResource::new(SliceId::S0, SliceResource::CkInv), 0);
-        layout.iob_resource_bit(IobCoord::new(iob, 1), IobResource::InputEnable, 0);
-        layout.capture_pos(clb, SliceId::S1, false);
-        layout.window_bounds(clb);
-        assert_eq!(layout.cached_tiles(), 0);
-        // The first PIP lookup on a tile caches exactly that tile's table.
-        let pips = layout.graph().tile_pips(clb);
-        layout.pip_pos(&pips[0]).unwrap();
-        layout.pip_pos(&pips[pips.len() - 1]).unwrap();
-        assert_eq!(layout.cached_tiles(), 1);
-
-        // A whole-device emptiness sweep builds no PIP table either.
-        let layout = Layout::new(Device::XCV1000);
-        let mem = ConfigMemory::new(Device::XCV1000);
-        let tiles = virtex::grid::clb_tiles(Device::XCV1000)
-            .chain(virtex::grid::iob_tiles(Device::XCV1000));
-        assert!(!tiles.into_iter().any(|t| layout.tile_in_use(&mem, t)));
-        assert_eq!(layout.cached_tiles(), 0);
+    fn layout_holds_no_per_tile_pip_state() {
+        // Every PIP of a spread of tiles resolves on a fresh layout, and
+        // resolving them changes nothing a layout holds: a used layout is
+        // indistinguishable from a fresh one.
+        let device = Device::XCV100;
+        let layout = Layout::new(device);
+        let fresh = format!("{layout:?}");
+        let g = device.geometry();
+        let (rows, cols) = (g.clb_rows as i32, g.clb_cols as i32);
+        let mut resolved = 0;
+        for tile in [
+            TileCoord::new(0, 0),
+            TileCoord::new(rows / 2, cols / 2 + 1),
+            TileCoord::new(rows - 1, cols - 2),
+            TileCoord::new(-1, 3),
+            TileCoord::new(rows, 3),
+            TileCoord::new(3, -1),
+            TileCoord::new(3, cols),
+        ] {
+            for (i, pip) in layout.graph().tile_pips(tile).iter().enumerate() {
+                assert_eq!(layout.pip_pos(pip), Some(layout.pip_bit(tile, i)), "{pip}");
+                resolved += 1;
+            }
+        }
+        assert!(resolved > 1000);
+        assert_eq!(format!("{layout:?}"), fresh);
+        assert_eq!(fresh, format!("{:?}", Layout::new(device)));
     }
 
     #[test]

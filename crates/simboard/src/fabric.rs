@@ -10,10 +10,9 @@
 
 use jbits::Layout;
 use std::collections::HashMap;
-use std::sync::{LazyLock, Mutex, PoisonError};
 use virtex::{
-    ClbResource, ConfigMemory, Device, IobCoord, IobResource, MuxSetting, RoutingGraph, SliceId,
-    SlicePin, SliceResource, TileCoord, Wire, WireKind,
+    ClbResource, ConfigMemory, Device, IobCoord, IobResource, MuxSetting, SliceId, SlicePin,
+    SliceResource, TileCoord, Wire, WireKind,
 };
 
 /// Decode failure: the configuration is not a legal circuit.
@@ -104,127 +103,69 @@ impl FabricModel {
     /// Tile occupancy is one OR over each column's frames plus one
     /// row-slot read per tile. For each tile in use, slice and pad logic
     /// is read field by field, and PIPs come from a walk over the set
-    /// bits of its window at or past the PIP base: each set bit is one
-    /// lookup in a process-wide memo of the PIPs ever seen enabled.
-    /// [`RoutingGraph::tile_pips`] runs only when a tile shows a PIP bit
-    /// the memo has not seen, once per such decode. Contention names the
-    /// first doubly driven wire decoded.
+    /// bits of its window at or past the PIP base: each set bit maps to
+    /// its wires with one read of the tile kind's PIP table
+    /// ([`virtex::RoutingGraph::tile_pip`]), and bits past the tile's
+    /// last PIP are skipped. Contention names the first doubly driven
+    /// wire decoded.
     pub fn decode(mem: &ConfigMemory) -> Result<FabricModel, DecodeError> {
-        static MEMO: LazyLock<Mutex<PipMemo>> = LazyLock::new(Default::default);
-        decode_with(mem, &MEMO)
-    }
-}
+        let device = mem.device();
+        let layout = Layout::new(device);
+        let graph = layout.graph();
+        let clb = |t, s, r| layout.read_clb(mem, t, ClbResource::new(s, r)).bits();
+        let iob = |t, pad, r| layout.read_iob(mem, IobCoord::new(t, pad), r).as_bool();
+        let mut model = FabricModel {
+            device,
+            slices: Vec::new(),
+            iobs: Vec::new(),
+            pips: Vec::new(),
+        };
 
-fn decode_with(mem: &ConfigMemory, memo: &Mutex<PipMemo>) -> Result<FabricModel, DecodeError> {
-    let device = mem.device();
-    let layout = Layout::new(device);
-    let clb = |t, s, r| layout.read_clb(mem, t, ClbResource::new(s, r)).bits();
-    let iob = |t, pad, r| layout.read_iob(mem, IobCoord::new(t, pad), r).as_bool();
-    let mut model = FabricModel {
-        device,
-        slices: Vec::new(),
-        iobs: Vec::new(),
-        pips: Vec::new(),
-    };
-
-    let mut indices = Vec::new();
-    for tile in layout.tiles_in_use(mem) {
-        if tile.is_clb(device) {
-            for slice in SliceId::ALL {
-                model
-                    .slices
-                    .extend(decode_slice(tile, slice, |r| clb(tile, slice, r)));
-            }
-        } else {
-            for pad in 0..virtex::routing::PADS_PER_IOB as u8 {
-                let inbuf = iob(tile, pad, IobResource::InputEnable);
-                let outbuf = iob(tile, pad, IobResource::OutputEnable);
-                if inbuf || outbuf {
-                    model.iobs.push(DecodedIob {
-                        tile,
-                        pad,
-                        inbuf,
-                        outbuf,
-                    });
+        for tile in layout.tiles_in_use(mem) {
+            if tile.is_clb(device) {
+                for slice in SliceId::ALL {
+                    model
+                        .slices
+                        .extend(decode_slice(tile, slice, |r| clb(tile, slice, r)));
                 }
-            }
-        }
-        indices.clear();
-        indices.extend(layout.set_pip_indices(mem, tile).map(|i| i as u32));
-        if !indices.is_empty() {
-            // Each memo update only adds a correct entry, so a panic that
-            // poisoned the lock left the memo valid.
-            let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
-            memo.resolve(layout.graph(), tile, &indices, &mut model.pips);
-        }
-    }
-
-    // Clock connectivity + contention check.
-    let mut driver_count: HashMap<Wire, u32> = HashMap::new();
-    for (_, to) in &model.pips {
-        *driver_count.entry(*to).or_insert(0) += 1;
-    }
-    if let Some((_, w)) = model.pips.iter().find(|(_, to)| driver_count[to] > 1) {
-        return Err(DecodeError::Contention { wire: w.name() });
-    }
-    for s in &mut model.slices {
-        let clk = Wire::new(
-            s.tile,
-            WireKind::SlicePin {
-                slice: s.slice,
-                pin: SlicePin::Clk,
-            },
-        );
-        s.clocked = driver_count.contains_key(&clk);
-    }
-    Ok(model)
-}
-
-/// What decoding has learnt from [`RoutingGraph::tile_pips`]: the ends of
-/// every PIP ever seen enabled, and the PIP count of every tile whose
-/// list was built. Whole per-tile lists are not kept; they would cost
-/// far more memory than the few PIPs a design enables.
-#[derive(Debug, Default)]
-struct PipMemo {
-    /// `(from, to)` by `(device, tile, canonical PIP index)`.
-    pips: HashMap<(Device, TileCoord, u32), (Wire, Wire)>,
-    /// PIP count by tile: set window bits at or past it are not PIPs.
-    counts: HashMap<(Device, TileCoord), u32>,
-    /// `tile_pips` runs so far.
-    builds: u64,
-}
-
-impl PipMemo {
-    /// Append the `(from, to)` of `tile`'s set PIP bits `indices`
-    /// (ascending canonical indices) to `out`, skipping bits past the
-    /// tile's last PIP. A bit the memo cannot place builds the tile's
-    /// PIP list once and records every index of this call.
-    fn resolve(
-        &mut self,
-        graph: &RoutingGraph,
-        tile: TileCoord,
-        indices: &[u32],
-        out: &mut Vec<(Wire, Wire)>,
-    ) {
-        let device = graph.device();
-        let len = out.len();
-        for &i in indices {
-            if let Some(&pip) = self.pips.get(&(device, tile, i)) {
-                out.push(pip);
-            } else if self.counts.get(&(device, tile)).is_none_or(|&n| i < n) {
-                out.truncate(len);
-                let pips = graph.tile_pips(tile);
-                self.builds += 1;
-                self.counts.insert((device, tile), pips.len() as u32);
-                for &i in indices {
-                    if let Some(p) = pips.get(i as usize) {
-                        self.pips.insert((device, tile, i), (p.from, p.to));
-                        out.push((p.from, p.to));
+            } else {
+                for pad in 0..virtex::routing::PADS_PER_IOB as u8 {
+                    let inbuf = iob(tile, pad, IobResource::InputEnable);
+                    let outbuf = iob(tile, pad, IobResource::OutputEnable);
+                    if inbuf || outbuf {
+                        model.iobs.push(DecodedIob {
+                            tile,
+                            pad,
+                            inbuf,
+                            outbuf,
+                        });
                     }
                 }
-                return;
             }
+            let set = layout.set_pip_indices(mem, tile);
+            let pips = set.filter_map(|i| graph.tile_pip(tile, i));
+            model.pips.extend(pips.map(|p| (p.from, p.to)));
         }
+
+        // Clock connectivity + contention check.
+        let mut driver_count: HashMap<Wire, u32> = HashMap::new();
+        for (_, to) in &model.pips {
+            *driver_count.entry(*to).or_insert(0) += 1;
+        }
+        if let Some((_, w)) = model.pips.iter().find(|(_, to)| driver_count[to] > 1) {
+            return Err(DecodeError::Contention { wire: w.name() });
+        }
+        for s in &mut model.slices {
+            let clk = Wire::new(
+                s.tile,
+                WireKind::SlicePin {
+                    slice: s.slice,
+                    pin: SlicePin::Clk,
+                },
+            );
+            s.clocked = driver_count.contains_key(&clk);
+        }
+        Ok(model)
     }
 }
 
@@ -720,30 +661,18 @@ mod tests {
     }
 
     #[test]
-    fn pip_memo_holds_only_enabled_pips_and_builds_each_table_once() {
+    fn decode_holds_no_pip_state_and_skips_bits_past_the_last_pip() {
         use jbits::Xhwif;
-        let memo = Mutex::new(PipMemo::default());
-        let stats = || {
-            let memo = memo.lock().unwrap();
-            (memo.pips.len(), memo.builds)
-        };
-        decode_with(&ConfigMemory::new(Device::XCV50), &memo).unwrap();
-        assert_eq!(stats(), (0, 0), "an empty device adds nothing");
-
         let (mem, ..) = build_inverter();
-        let model = decode_with(&mem, &memo).unwrap();
-        let (entries, builds) = stats();
-        assert_eq!(entries, model.pips.len(), "only enabled PIPs are kept");
-        assert!(builds > 0);
-        assert_eq!(decode_with(&mem, &memo).unwrap(), model);
-        assert_eq!(stats(), (entries, builds), "a second decode grows nothing");
+        let model = FabricModel::decode(&mem).unwrap();
+        assert!(!model.pips.is_empty());
 
         // Upset the first window bit past the last PIP of an unused CLB.
         // No resource owns it, so the reference decoder, which reads PIP
         // bits only through `tile_pips`, sees the same model.
         let tile = TileCoord::new(5, 5);
         let layout = Layout::new(Device::XCV50);
-        let past = layout.pip_bit(tile, layout.graph().tile_pips(tile).len());
+        let past = layout.pip_bit(tile, layout.graph().tile_pip_count(tile));
         let mut board = crate::SimBoard::new(Device::XCV50);
         board
             .set_configuration(&bitstream::full_bitstream(&mem))
@@ -752,11 +681,23 @@ mod tests {
         let upset = board.port().interpreter().memory();
         assert!(layout.tiles_in_use(upset).contains(&tile));
         assert_eq!(board.fabric().unwrap().model(), &model);
-        // The first decode builds the tile's list to learn where its PIPs
-        // end; later decodes skip the stray bit without building it.
+
+        // A decode depends only on the memory it reads: decoding another
+        // configuration in between (one driver of every wire a CLB's
+        // switch box reaches) changes no later answer.
+        let busy_tile = TileCoord::new(2, 2);
+        let mut busy = Jbits::new(Device::XCV50);
+        let mut driven = std::collections::HashSet::new();
+        for pip in layout.graph().tile_pips(busy_tile) {
+            if driven.insert(pip.to) {
+                assert!(busy.set_pip(&pip, true));
+            }
+        }
         for _ in 0..3 {
-            assert_eq!(decode_with(upset, &memo).unwrap(), model);
-            assert_eq!(stats(), (entries, builds + 1), "the stray bit is no PIP");
+            assert_eq!(FabricModel::decode(upset).unwrap(), model);
+            let busy_model = FabricModel::decode(busy.memory()).unwrap();
+            assert_eq!(busy_model.pips.len(), driven.len());
+            assert_eq!(FabricModel::decode(&mem).unwrap(), model);
         }
     }
 }

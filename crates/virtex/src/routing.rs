@@ -17,14 +17,43 @@
 //!
 //! Every PIP has a *location tile* (the tile whose configuration frames
 //! hold its enable bit): the driving tile for output-side muxes and the
-//! destination tile for input-side muxes. [`RoutingGraph::tile_pips`]
-//! enumerates a tile's PIPs in a stable order, which the `jbits` crate uses
-//! to assign configuration bit positions.
+//! destination tile for input-side muxes. [`RoutingGraph::tile_pip`]
+//! numbers a tile's PIPs in a stable canonical order, which the `jbits`
+//! crate uses to assign configuration bit positions.
+//!
+//! **PIP tables.** Written with wires relative to the location tile, a
+//! tile's PIP list depends only on its kind and on which of its taps
+//! exist. Each tile kind therefore has one immutable *superset*: every
+//! PIP a tile of that kind can hold, in canonical order, split into
+//! groups that a tile holds either wholly or not at all. A CLB has 14:
+//!
+//! * \[0\] local PIPs — slice outputs to OMUX, OMUX fan-out, and the
+//!   input muxes and bounces of incoming singles (every CLB);
+//! * \[1–8\] hex taps, one per (direction, distance 3 or 6): present iff
+//!   the hex's source tile `tile − dir·dist` is a CLB;
+//! * \[9–12\] long taps (idx 0 H, idx 0 V, idx 1 H, idx 1 V): H present
+//!   iff `col % 4 == 2·idx`, V iff `row % 4 == 2·idx`;
+//! * \[13\] global-clock taps (every CLB).
+//!
+//! Each IOB edge kind has one group, which every IOB tile of the kind
+//! holds. A tile's *mask* says which groups it holds; its canonical PIP
+//! index is the superset position minus the lengths of the absent groups
+//! before it. A relative wire key packs the wire's slot
+//! ([`WireKind::slot`]), an *anchored* flag and the (row, col) offset
+//! from the tile into 16 bits. Long lines anchored at column 0 (H) or
+//! row 0 (V), and global clocks at (0, 0), set the flag and record no
+//! offset on the anchored axes, so one key names them from any tile. The
+//! key is injective over every [`Wire`], valid or not; a wire more than
+//! 8 tiles away has none. The tables do not depend on the device: one
+//! set, built once per process from [`RoutingGraph::downhill`], serves
+//! every device.
 
 use crate::family::Device;
 use crate::grid::{SliceId, TileCoord, TileKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
+use std::sync::OnceLock;
 
 /// Singles per direction per tile.
 pub const SINGLES_PER_DIR: usize = 8;
@@ -256,6 +285,265 @@ pub enum WireKind {
     GlobalClock(u8),
 }
 
+const SLOT_OMUX: usize = 2 * SlicePin::ALL.len();
+const SLOT_SINGLE: usize = SLOT_OMUX + OMUX_COUNT;
+const SLOT_HEX: usize = SLOT_SINGLE + 4 * SINGLES_PER_DIR;
+const SLOT_LONG: usize = SLOT_HEX + 4 * HEX_PER_DIR;
+const SLOT_PAD_IN: usize = SLOT_LONG + 2 * LONGS_PER_TRACK;
+const SLOT_PAD_OUT: usize = SLOT_PAD_IN + PADS_PER_IOB;
+const SLOT_GCLK: usize = SLOT_PAD_OUT + PADS_PER_IOB;
+const _: () = assert!(SLOT_GCLK + GLOBAL_CLOCKS == WireKind::SLOTS);
+
+impl WireKind {
+    /// Slots per tile: every kind a tile can anchor, packed densely by
+    /// [`Self::slot`].
+    pub const SLOTS: usize = 106;
+
+    /// This kind's slot within its tile, or `None` for an out-of-range
+    /// index (which no real wire has).
+    pub fn slot(self) -> Option<usize> {
+        let (base, count, i) = match self {
+            WireKind::SlicePin { slice, pin } => {
+                return Some(slice.index() * SlicePin::ALL.len() + pin.index())
+            }
+            WireKind::Omux(j) => (SLOT_OMUX, OMUX_COUNT, j),
+            WireKind::Single { dir, idx } => (
+                SLOT_SINGLE + dir.index() * SINGLES_PER_DIR,
+                SINGLES_PER_DIR,
+                idx,
+            ),
+            WireKind::Hex { dir, idx } => (SLOT_HEX + dir.index() * HEX_PER_DIR, HEX_PER_DIR, idx),
+            WireKind::Long { horiz, idx } => (
+                SLOT_LONG + usize::from(horiz) * LONGS_PER_TRACK,
+                LONGS_PER_TRACK,
+                idx,
+            ),
+            WireKind::PadIn(p) => (SLOT_PAD_IN, PADS_PER_IOB, p),
+            WireKind::PadOut(p) => (SLOT_PAD_OUT, PADS_PER_IOB, p),
+            WireKind::GlobalClock(k) => (SLOT_GCLK, GLOBAL_CLOCKS, k),
+        };
+        (usize::from(i) < count).then_some(base + usize::from(i))
+    }
+
+    /// The kind in `slot`: the inverse of [`Self::slot`].
+    pub fn from_slot(slot: usize) -> Option<WireKind> {
+        let pins = SlicePin::ALL.len();
+        let track =
+            |base: usize, per: usize| (Dir::ALL[(slot - base) / per], ((slot - base) % per) as u8);
+        Some(match slot {
+            s if s < SLOT_OMUX => WireKind::SlicePin {
+                slice: SliceId::from_index(s / pins)?,
+                pin: SlicePin::ALL[s % pins],
+            },
+            s if s < SLOT_SINGLE => WireKind::Omux((s - SLOT_OMUX) as u8),
+            s if s < SLOT_HEX => {
+                let (dir, idx) = track(SLOT_SINGLE, SINGLES_PER_DIR);
+                WireKind::Single { dir, idx }
+            }
+            s if s < SLOT_LONG => {
+                let (dir, idx) = track(SLOT_HEX, HEX_PER_DIR);
+                WireKind::Hex { dir, idx }
+            }
+            s if s < SLOT_PAD_IN => WireKind::Long {
+                horiz: s - SLOT_LONG >= LONGS_PER_TRACK,
+                idx: ((s - SLOT_LONG) % LONGS_PER_TRACK) as u8,
+            },
+            s if s < SLOT_PAD_OUT => WireKind::PadIn((s - SLOT_PAD_IN) as u8),
+            s if s < SLOT_GCLK => WireKind::PadOut((s - SLOT_PAD_OUT) as u8),
+            s if s < Self::SLOTS => WireKind::GlobalClock((s - SLOT_GCLK) as u8),
+            _ => return None,
+        })
+    }
+
+    /// Which axes (row, col) this kind's canonical anchor pins to 0: a
+    /// horizontal long's column, a vertical long's row, both of a clock's.
+    fn anchor_axes(self) -> (bool, bool) {
+        match self {
+            WireKind::Long { horiz, .. } => (!horiz, horiz),
+            WireKind::GlobalClock(_) => (true, true),
+            _ => (false, false),
+        }
+    }
+}
+
+/// Offsets a relative wire key can hold run over `-REL_HALF..REL_HALF`
+/// on each axis; hex taps reach 6 tiles.
+const REL_HALF: i64 = 8;
+const REL_SPAN: usize = 2 * REL_HALF as usize;
+const _: () = assert!(WireKind::SLOTS * 2 * REL_SPAN * REL_SPAN <= 1 << 16);
+
+/// `w` relative to `tile`, packed as `((slot · 2 + anchored) · 16 + dr) ·
+/// 16 + dc` with offsets biased by 8. `None` for an out-of-range kind
+/// index or an offset beyond 8 tiles.
+fn rel_key(tile: TileCoord, w: Wire) -> Option<u16> {
+    let slot = w.kind.slot()?;
+    let (pin_row, pin_col) = w.kind.anchor_axes();
+    let anchored =
+        (pin_row || pin_col) && (!pin_row || w.tile.row == 0) && (!pin_col || w.tile.col == 0);
+    let offset = |pinned: bool, at: i32, from: i32| {
+        let d = if anchored && pinned {
+            0
+        } else {
+            i64::from(at) - i64::from(from)
+        };
+        usize::try_from(d + REL_HALF).ok().filter(|&d| d < REL_SPAN)
+    };
+    let dr = offset(pin_row, w.tile.row, tile.row)?;
+    let dc = offset(pin_col, w.tile.col, tile.col)?;
+    let key = ((slot * 2 + usize::from(anchored)) * REL_SPAN + dr) * REL_SPAN + dc;
+    Some(key as u16)
+}
+
+/// The wire a [`rel_key`] of `tile` names.
+fn rel_wire(tile: TileCoord, key: u16) -> Wire {
+    let key = usize::from(key);
+    let offset = |d: usize| (d % REL_SPAN) as i32 - REL_HALF as i32;
+    let anchored = key / (REL_SPAN * REL_SPAN) % 2 == 1;
+    let kind = WireKind::from_slot(key / (2 * REL_SPAN * REL_SPAN)).expect("keys hold valid slots");
+    let (pin_row, pin_col) = kind.anchor_axes();
+    let at = |pinned: bool, base: i32, d: i32| if anchored && pinned { 0 } else { base + d };
+    let row = at(pin_row, tile.row, offset(key / REL_SPAN));
+    let col = at(pin_col, tile.col, offset(key));
+    Wire::new(TileCoord::new(row, col), kind)
+}
+
+/// One tile kind's PIP superset: every PIP a tile of the kind can hold,
+/// as relative wire-key pairs in canonical order, split into groups a
+/// tile holds wholly or not at all.
+#[derive(Debug)]
+struct PipSuperset {
+    /// `(from, to)` relative keys in canonical order.
+    pips: Vec<(u16, u16)>,
+    /// Group `g` spans positions `bounds[g]..bounds[g + 1]`.
+    bounds: Vec<u16>,
+    /// `(from << 16 | to, position)`, sorted for binary search.
+    sorted: Vec<(u32, u16)>,
+}
+
+impl PipSuperset {
+    /// The superset whose groups are the PIPs the listed wires drive at
+    /// the listed tile, each a tile that holds the group.
+    fn new(graph: &RoutingGraph, groups: Vec<(TileCoord, Vec<Wire>)>) -> Self {
+        let (mut pips, mut bounds, mut tmp) = (Vec::new(), vec![0], Vec::new());
+        for (tile, sources) in groups {
+            let key = |w| rel_key(tile, w).expect("tapped wires lie near the tile");
+            for wire in sources.into_iter().filter(|&w| graph.wire_exists(w)) {
+                tmp.clear();
+                graph.downhill(wire, &mut tmp);
+                let taps = tmp.iter().filter(|p| p.loc == tile);
+                pips.extend(taps.map(|p| (key(p.from), key(p.to))));
+            }
+            bounds.push(pips.len() as u16);
+        }
+        let keys = pips
+            .iter()
+            .map(|&(from, to)| u32::from(from) << 16 | u32::from(to));
+        let mut sorted: Vec<(u32, u16)> = keys.zip(0..).collect();
+        sorted.sort_unstable();
+        debug_assert!(
+            sorted.windows(2).all(|w| w[0].0 != w[1].0),
+            "PIP listed twice"
+        );
+        PipSuperset {
+            pips,
+            bounds,
+            sorted,
+        }
+    }
+
+    /// The position ranges of the groups `mask` holds, in canonical order:
+    /// a tile's PIP list is their concatenation.
+    fn held(&self, mask: u16) -> impl Iterator<Item = Range<usize>> + '_ {
+        let groups = self.bounds.windows(2).enumerate();
+        let held = groups.filter(move |&(g, _)| mask >> g & 1 == 1);
+        held.map(|(_, b)| usize::from(b[0])..usize::from(b[1]))
+    }
+}
+
+/// CLB hex-tap groups 1–8: (direction, distance) in canonical order.
+fn hex_taps() -> impl Iterator<Item = (Dir, i32)> {
+    Dir::ALL
+        .into_iter()
+        .flat_map(|dir| [(dir, HEX_SPAN / 2), (dir, HEX_SPAN)])
+}
+
+/// The tile `n` steps from `t` against `dir`: where a wire travelling
+/// `dir` starts to reach `t`.
+fn upstream(t: TileCoord, dir: Dir, n: i32) -> TileCoord {
+    let (dr, dc) = dir.delta();
+    TileCoord::new(t.row - dr * n, t.col - dc * n)
+}
+
+/// CLB long-tap groups 9–12: (track index, horizontal) in canonical order.
+const LONG_TAPS: [(u8, bool); 4] = [(0, true), (0, false), (1, true), (1, false)];
+
+/// Tile kinds with PIPs, in the order of [`pip_tables`].
+const PIP_KINDS: [TileKind; 5] = [
+    TileKind::Clb,
+    TileKind::IobTop,
+    TileKind::IobBottom,
+    TileKind::IobLeft,
+    TileKind::IobRight,
+];
+
+/// The superset of each of [`PIP_KINDS`], built on first use by walking
+/// every group with [`RoutingGraph::downhill`] at a tile that holds it.
+/// The smallest device has such tiles, and it keeps the transient walks
+/// of the device-wide clock and long nets short.
+fn pip_tables() -> &'static [PipSuperset; 5] {
+    static TABLES: OnceLock<[PipSuperset; 5]> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        let g = RoutingGraph::new(Device::XCV50);
+        // Both tiles lie at least a hex span inside every edge, so they
+        // hold every hex group; `a` holds the idx-0 long taps, `b` idx 1.
+        let (a, b) = (TileCoord::new(8, 8), TileCoord::new(6, 6));
+        let incoming = |t| {
+            let singles = Dir::ALL
+                .into_iter()
+                .flat_map(|dir| (0..SINGLES_PER_DIR as u8).map(move |idx| (dir, idx)));
+            singles.map(move |(dir, idx)| {
+                Wire::new(upstream(t, dir, 1), WireKind::Single { dir, idx })
+            })
+        };
+        // [0] Slice outputs, OMUX fan-out, incoming singles.
+        let outputs = SliceId::ALL.into_iter().flat_map(|slice| {
+            [SlicePin::X, SlicePin::Y, SlicePin::XQ, SlicePin::YQ]
+                .map(|pin| WireKind::SlicePin { slice, pin })
+        });
+        let local = outputs.chain((0..OMUX_COUNT as u8).map(WireKind::Omux));
+        let local = local.map(|k| Wire::new(a, k)).chain(incoming(a));
+        let mut groups = vec![(a, local.collect())];
+        // [1–8] Hex taps; [9–12] long taps; [13] the clock spine.
+        for (dir, dist) in hex_taps() {
+            let hex = |idx| Wire::new(upstream(a, dir, dist), WireKind::Hex { dir, idx });
+            groups.push((a, (0..HEX_PER_DIR as u8).map(hex).collect()));
+        }
+        for (idx, horiz) in LONG_TAPS {
+            let t = if idx == 0 { a } else { b };
+            let long = if horiz {
+                g.long_h(t.row, idx)
+            } else {
+                g.long_v(t.col, idx)
+            };
+            groups.push((t, vec![long]));
+        }
+        let clocks = (0..GLOBAL_CLOCKS as u8).map(|k| g.global_clock(k));
+        groups.push((a, clocks.collect()));
+        let iob = |row, col| {
+            let t = TileCoord::new(row, col);
+            let pads = (0..PADS_PER_IOB as u8).map(|p| Wire::new(t, WireKind::PadIn(p)));
+            PipSuperset::new(&g, vec![(t, pads.chain(incoming(t)).collect())])
+        };
+        [
+            PipSuperset::new(&g, groups),
+            iob(-1, 8),
+            iob(g.rows, 8),
+            iob(8, -1),
+            iob(8, g.cols),
+        ]
+    })
+}
+
 /// A wire: a kind anchored at a tile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct Wire {
@@ -400,7 +688,7 @@ impl RoutingGraph {
     }
 
     fn is_clb(&self, t: TileCoord) -> bool {
-        t.kind(self.device) == TileKind::Clb
+        (0..self.rows).contains(&t.row) && (0..self.cols).contains(&t.col)
     }
 
     fn is_iob(&self, t: TileCoord) -> bool {
@@ -663,117 +951,90 @@ impl RoutingGraph {
         }
     }
 
-    /// All PIPs whose configuration bit lives in `tile`, in a stable
-    /// canonical order. This order defines the bit assignment used by the
-    /// `jbits` crate, so it must never change gratuitously.
+    /// All PIPs whose configuration bit lives in `tile`, in the stable
+    /// canonical order of [`Self::tile_pip`]. This order defines the bit
+    /// assignment used by the `jbits` crate, so it must never change
+    /// gratuitously.
     pub fn tile_pips(&self, tile: TileCoord) -> Vec<Pip> {
-        let mut pips = Vec::new();
-        match tile.kind(self.device) {
-            TileKind::Clb => {
-                // 1. Locally driven wires: slice outputs, OMUX fan-out.
-                for slice in SliceId::ALL {
-                    for pin in [SlicePin::X, SlicePin::Y, SlicePin::XQ, SlicePin::YQ] {
-                        self.downhill(
-                            Wire::new(tile, WireKind::SlicePin { slice, pin }),
-                            &mut pips,
-                        );
-                    }
-                }
-                for j in 0..OMUX_COUNT as u8 {
-                    self.downhill(Wire::new(tile, WireKind::Omux(j)), &mut pips);
-                }
-                // 2. Incoming singles (input muxes + bounces located here).
-                self.incoming_single_pips(tile, &mut pips);
-                // 3. Hex taps landing here.
-                for dir in Dir::ALL {
-                    let (dr, dc) = dir.delta();
-                    for dist in [HEX_SPAN / 2, HEX_SPAN] {
-                        let src = TileCoord::new(tile.row - dr * dist, tile.col - dc * dist);
-                        for idx in 0..HEX_PER_DIR as u8 {
-                            let h = Wire::new(src, WireKind::Hex { dir, idx });
-                            if self.wire_exists(h) {
-                                let mut tmp = Vec::new();
-                                self.downhill(h, &mut tmp);
-                                pips.extend(tmp.into_iter().filter(|p| p.loc == tile));
-                            }
-                        }
-                    }
-                }
-                // 4. Long-line taps at this tile.
-                for idx in 0..LONGS_PER_TRACK as u8 {
-                    for long in [self.long_h(tile.row, idx), self.long_v(tile.col, idx)] {
-                        let mut tmp = Vec::new();
-                        self.downhill(long, &mut tmp);
-                        pips.extend(tmp.into_iter().filter(|p| p.loc == tile));
-                    }
-                }
-                // 5. Global clock spine taps.
-                for k in 0..GLOBAL_CLOCKS as u8 {
-                    for slice in SliceId::ALL {
-                        pips.push(Pip {
-                            loc: tile,
-                            from: self.global_clock(k),
-                            to: Wire::new(
-                                tile,
-                                WireKind::SlicePin {
-                                    slice,
-                                    pin: SlicePin::Clk,
-                                },
-                            ),
-                        });
-                    }
-                }
-            }
-            TileKind::IobTop | TileKind::IobBottom | TileKind::IobLeft | TileKind::IobRight => {
-                for p in 0..PADS_PER_IOB as u8 {
-                    self.downhill(Wire::new(tile, WireKind::PadIn(p)), &mut pips);
-                }
-                self.incoming_single_pips(tile, &mut pips);
-            }
-            _ => {}
-        }
-        pips
+        (0..self.tile_pip_count(tile))
+            .filter_map(|i| self.tile_pip(tile, i))
+            .collect()
     }
 
-    /// PIPs located at `tile` that are fed by singles arriving from
-    /// neighbouring tiles.
-    fn incoming_single_pips(&self, tile: TileCoord, pips: &mut Vec<Pip>) {
-        for dir in Dir::ALL {
-            let (dr, dc) = dir.delta();
-            let src = TileCoord::new(tile.row - dr, tile.col - dc);
-            for idx in 0..SINGLES_PER_DIR as u8 {
-                let s = Wire::new(src, WireKind::Single { dir, idx });
-                if self.wire_exists(s) {
-                    let mut tmp = Vec::new();
-                    self.downhill(s, &mut tmp);
-                    pips.extend(tmp.into_iter().filter(|p| p.loc == tile));
-                }
+    /// PIP number `index` of `tile` in canonical order, or `None` past
+    /// the tile's last PIP: one superset read.
+    pub fn tile_pip(&self, tile: TileCoord, index: usize) -> Option<Pip> {
+        let (set, mask) = self.pip_class(tile)?;
+        let mut i = index;
+        let pos = set.held(mask).find_map(|r| {
+            if i < r.len() {
+                return Some(r.start + i);
             }
-        }
+            i -= r.len();
+            None
+        })?;
+        let (from, to) = set.pips[pos];
+        let (from, to) = (rel_wire(tile, from), rel_wire(tile, to));
+        Some(Pip {
+            loc: tile,
+            from,
+            to,
+        })
     }
 
-    /// Locate the PIP `(from, to)` if it exists in the fabric, returning
-    /// the canonical `Pip` (with its location tile).
-    pub fn find_pip(&self, from: Wire, to: Wire) -> Option<Pip> {
-        if !self.wire_exists(from) {
-            return None;
-        }
-        let mut tmp = Vec::new();
-        self.downhill(from, &mut tmp);
-        tmp.into_iter().find(|p| p.to == to)
-    }
-
-    /// Index of `pip` within `tile_pips(pip.loc)`, used for configuration
-    /// bit assignment. `None` if the pip does not exist.
+    /// Index of `pip` in [`Self::tile_pips`]`(pip.loc)`, used for
+    /// configuration bit assignment: one binary search of the tile's
+    /// superset. `None` if the pip does not exist.
     pub fn pip_index(&self, pip: &Pip) -> Option<usize> {
-        self.tile_pips(pip.loc)
-            .iter()
-            .position(|p| p.from == pip.from && p.to == pip.to)
+        let (set, mask) = self.pip_class(pip.loc)?;
+        let key = |w| rel_key(pip.loc, w).map(u32::from);
+        let key = key(pip.from)? << 16 | key(pip.to)?;
+        let at = set.sorted.binary_search_by_key(&key, |e| e.0).ok()?;
+        let (pos, mut before) = (usize::from(set.sorted[at].1), 0);
+        set.held(mask).find_map(|r| {
+            let index = r.contains(&pos).then(|| before + pos - r.start);
+            before += r.len();
+            index
+        })
     }
 
     /// Number of PIPs located in `tile`.
     pub fn tile_pip_count(&self, tile: TileCoord) -> usize {
-        self.tile_pips(tile).len()
+        let class = self.pip_class(tile);
+        class.map_or(0, |(set, mask)| set.held(mask).map(|r| r.len()).sum())
+    }
+
+    /// `tile`'s superset and the mask of groups it holds; `None` for a
+    /// tile without PIPs.
+    fn pip_class(&self, tile: TileCoord) -> Option<(&'static PipSuperset, u16)> {
+        let kind = tile.kind(self.device);
+        let i = PIP_KINDS.iter().position(|&k| k == kind)?;
+        let mask = if i == 0 { self.clb_mask(tile) } else { 1 };
+        Some((&pip_tables()[i], mask))
+    }
+
+    /// The CLB groups `tile` holds: local and clock always, a hex group
+    /// when its source tile is a CLB, a long group on its tap residue.
+    fn clb_mask(&self, tile: TileCoord) -> u16 {
+        let mut mask = 1 | 1 << 13;
+        for (g, (dir, dist)) in hex_taps().enumerate() {
+            mask |= u16::from(self.is_clb(upstream(tile, dir, dist))) << (1 + g);
+        }
+        for (g, (idx, horiz)) in LONG_TAPS.into_iter().enumerate() {
+            let along = if horiz { tile.col } else { tile.row };
+            mask |= u16::from(along % LONG_TAP_SPACING == 2 * i32::from(idx)) << (9 + g);
+        }
+        mask
+    }
+
+    /// Locate the PIP `(from, to)` if it exists in the fabric, returning
+    /// the canonical `Pip` (with its location tile). Every PIP sits in
+    /// the tile of its destination or of its source.
+    pub fn find_pip(&self, from: Wire, to: Wire) -> Option<Pip> {
+        let at = |loc| Pip { loc, from, to };
+        [at(to.tile), at(from.tile)]
+            .into_iter()
+            .find(|p| self.pip_index(p).is_some())
     }
 }
 
@@ -790,6 +1051,103 @@ mod tests {
         for (i, pin) in SlicePin::ALL.into_iter().enumerate() {
             assert_eq!(pin.index(), i, "{}", pin.name());
         }
+    }
+
+    /// Every wire kind a tile can anchor, each index in range.
+    fn all_kinds() -> Vec<WireKind> {
+        let mut kinds = Vec::new();
+        for slice in SliceId::ALL {
+            for pin in SlicePin::ALL {
+                kinds.push(WireKind::SlicePin { slice, pin });
+            }
+        }
+        kinds.extend((0..OMUX_COUNT as u8).map(WireKind::Omux));
+        for dir in Dir::ALL {
+            kinds.extend((0..SINGLES_PER_DIR as u8).map(|idx| WireKind::Single { dir, idx }));
+            kinds.extend((0..HEX_PER_DIR as u8).map(|idx| WireKind::Hex { dir, idx }));
+        }
+        for horiz in [false, true] {
+            kinds.extend((0..LONGS_PER_TRACK as u8).map(|idx| WireKind::Long { horiz, idx }));
+        }
+        kinds.extend((0..PADS_PER_IOB as u8).map(WireKind::PadIn));
+        kinds.extend((0..PADS_PER_IOB as u8).map(WireKind::PadOut));
+        kinds.extend((0..GLOBAL_CLOCKS as u8).map(WireKind::GlobalClock));
+        kinds
+    }
+
+    #[test]
+    fn slots_pack_every_kind_densely() {
+        let kinds = all_kinds();
+        let mut slots: Vec<usize> = kinds.iter().map(|k| k.slot().unwrap()).collect();
+        slots.sort_unstable();
+        assert_eq!(slots, (0..WireKind::SLOTS).collect::<Vec<_>>());
+        for kind in kinds {
+            assert_eq!(WireKind::from_slot(kind.slot().unwrap()), Some(kind));
+        }
+        assert_eq!(WireKind::from_slot(WireKind::SLOTS), None);
+        let out_of_range = [
+            WireKind::Single {
+                dir: Dir::West,
+                idx: SINGLES_PER_DIR as u8,
+            },
+            WireKind::Hex {
+                dir: Dir::North,
+                idx: HEX_PER_DIR as u8,
+            },
+            WireKind::Omux(OMUX_COUNT as u8),
+            WireKind::Long {
+                horiz: true,
+                idx: LONGS_PER_TRACK as u8,
+            },
+            WireKind::PadIn(PADS_PER_IOB as u8),
+            WireKind::PadOut(u8::MAX),
+            WireKind::GlobalClock(GLOBAL_CLOCKS as u8),
+        ];
+        for kind in out_of_range {
+            assert_eq!(kind.slot(), None, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn relative_keys_are_injective_and_invert() {
+        let tile = TileCoord::new(3, 2);
+        let mut keys = std::collections::HashMap::new();
+        for kind in all_kinds() {
+            for row in -10..=12 {
+                for col in -10..=12 {
+                    let w = Wire::new(TileCoord::new(row, col), kind);
+                    let Some(key) = rel_key(tile, w) else {
+                        // Only offsets past 8 tiles fall outside the key.
+                        assert!((row - 3).abs() > 7 || (col - 2).abs() > 7, "{w}");
+                        continue;
+                    };
+                    assert_eq!(rel_wire(tile, key), w);
+                    assert_eq!(keys.insert(key, w), None, "{w} aliases");
+                }
+            }
+        }
+        // Anchors need no offset: a long at column 0 and a clock at (0, 0)
+        // have keys from any tile, however far.
+        let far = TileCoord::new(60, 90);
+        let long = Wire::new(
+            TileCoord::new(60, 0),
+            WireKind::Long {
+                horiz: true,
+                idx: 1,
+            },
+        );
+        let clock = Wire::new(TileCoord::new(0, 0), WireKind::GlobalClock(2));
+        for w in [long, clock] {
+            assert_eq!(rel_key(far, w).map(|k| rel_wire(far, k)), Some(w));
+        }
+        let off = Wire::new(
+            TileCoord::new(60, 1),
+            WireKind::Long {
+                horiz: true,
+                idx: 1,
+            },
+        );
+        assert_eq!(rel_key(far, off), None);
     }
 
     #[test]

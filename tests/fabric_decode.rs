@@ -18,14 +18,14 @@ use virtex::{
 use xdl::Rect;
 
 fn oracle_tile_in_use(jb: &mut Jbits, tile: TileCoord) -> bool {
-    let (frames, slot) = jb.layout_mut().window_bounds(tile);
+    let (frames, slot) = jb.layout().window_bounds(tile);
     frames
         .flat_map(|f| (slot..slot + virtex::config::BITS_PER_ROW).map(move |b| (f, b)))
         .any(|(f, b)| jb.memory().get_bit(f, b))
 }
 
 fn oracle_slice(jb: &mut Jbits, tile: TileCoord, slice: SliceId) -> Option<DecodedSlice> {
-    let mut get = |r: SliceResource| jb.get(tile, ClbResource::new(slice, r)).bits();
+    let get = |r: SliceResource| jb.get(tile, ClbResource::new(slice, r)).bits();
     let x_on = MuxSetting::decode(get(SliceResource::FxMux)) == Some(MuxSetting::Primary);
     let y_on = MuxSetting::decode(get(SliceResource::GyMux)) == Some(MuxSetting::Primary);
     let (ffx, ffy) = (get(SliceResource::FfX) == 1, get(SliceResource::FfY) == 1);
