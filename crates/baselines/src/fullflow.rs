@@ -10,24 +10,11 @@
 //! total tool time and total bitstream bytes — the numbers the JPG
 //! approach beats.
 
-use cadflow::netlist::Netlist;
 use jbits::Jbits;
-use jpg::workflow::{module_constraints, ModuleSpec};
+use jpg::workflow::{module_constraints, ModuleSpec, RegionSpec};
 use rayon::prelude::*;
 use std::time::{Duration, Instant};
 use virtex::Device;
-use xdl::Rect;
-
-/// One region of the scenario: its floorplan rectangle and its variants.
-#[derive(Debug, Clone)]
-pub struct RegionSpec {
-    /// Name prefix for the region (`"r1/"` …).
-    pub prefix: String,
-    /// Floorplan region.
-    pub region: Rect,
-    /// Interchangeable module implementations.
-    pub variants: Vec<Netlist>,
-}
 
 /// Aggregate results of the conventional approach.
 #[derive(Debug, Clone)]
@@ -85,11 +72,7 @@ pub fn full_flow_all_combinations(
             let modules: Vec<ModuleSpec> = regions
                 .iter()
                 .zip(combo)
-                .map(|(r, &vi)| ModuleSpec {
-                    prefix: r.prefix.clone(),
-                    netlist: r.variants[vi].clone(),
-                    region: r.region,
-                })
+                .map(|(r, &vi)| r.module(vi))
                 .collect();
             let mut designs = Vec::new();
             for m in &modules {
@@ -128,6 +111,7 @@ pub fn full_flow_all_combinations(
 mod tests {
     use super::*;
     use cadflow::gen;
+    use xdl::Rect;
 
     #[test]
     fn combination_enumeration() {

@@ -25,65 +25,14 @@
 //! Usage: `verify_smoke [--cases N] [--seed S] [--bench-out PATH]
 //!         [--skip-fleet]`
 
-use cadflow::gen;
 use cadflow::netlist::Netlist;
 use conformance::verify_case;
 use fleet::sim::{simulate, FleetSimSpec};
 use fleet::{Fleet, FleetConfig, Request, ServingLibrary, VerifyPolicy, WireFormat};
-use jpg::workflow::{build_base, ModuleSpec};
+use jpg::workflow::{base_modules, build_base, fig4};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use virtex::Device;
-use xdl::Rect;
-
-/// The Figure-4 partitioning (three full-height regions, 3/3/4
-/// interchangeable modules) on the XCV400, whose 24-word frames make
-/// raw readback replies roughly 12x the size of the per-frame digest
-/// rollup the fast path pulls instead.
-fn fig4_catalogues() -> (Vec<ModuleSpec>, Vec<(String, Vec<Netlist>)>) {
-    let catalogues: Vec<(String, Vec<Netlist>)> = vec![
-        (
-            "region1/".into(),
-            vec![
-                gen::counter("up", 3),
-                gen::down_counter("down", 3),
-                gen::gray_counter("gray", 3),
-            ],
-        ),
-        (
-            "region2/".into(),
-            vec![
-                gen::parity("par8", 8),
-                gen::string_matcher("match", &[true, false, true]),
-                gen::lfsr("lfsr", 4),
-            ],
-        ),
-        (
-            "region3/".into(),
-            vec![
-                gen::counter("up4", 4),
-                gen::accumulator("acc", 3),
-                gen::lfsr("lfsr5", 5),
-                gen::gray_counter("gray4", 4),
-            ],
-        ),
-    ];
-    let rects = [
-        Rect::new(0, 1, 19, 8),
-        Rect::new(0, 11, 19, 18),
-        Rect::new(0, 21, 19, 28),
-    ];
-    let modules = catalogues
-        .iter()
-        .zip(rects)
-        .map(|((prefix, variants), region)| ModuleSpec {
-            prefix: prefix.clone(),
-            netlist: variants[0].clone(),
-            region,
-        })
-        .collect();
-    (modules, catalogues)
-}
 
 struct DigestComparison {
     downloads: u64,
@@ -94,10 +43,17 @@ struct DigestComparison {
     compressed_readback: u64,
 }
 
-/// Gate 2: the real Figure-4 library on the XCV400 under `Full` and
-/// `Adaptive` verify.
+/// Gate 2: the real Figure-4 library under `Full` and `Adaptive`
+/// verify, on the XCV400 rather than the paper's XCV100: its 24-word
+/// frames make raw readback replies roughly 12x the size of the
+/// per-frame digest rollup the fast path pulls instead.
 fn fig4_digest_gate() -> Result<DigestComparison, u64> {
-    let (modules, catalogues) = fig4_catalogues();
+    let regions = fig4();
+    let modules = base_modules(&regions);
+    let catalogues: Vec<(String, Vec<Netlist>)> = regions
+        .into_iter()
+        .map(|r| (r.prefix, r.variants))
+        .collect();
     let base = build_base("fig4", Device::XCV400, &modules, 11).expect("fig4 base design");
     let lib = Arc::new(ServingLibrary::build(&base, &catalogues, 90).expect("fig4 library"));
     lib.warm().expect("warm fig4 library");

@@ -22,64 +22,14 @@
 //! Usage: `wire_smoke [--cases N] [--seed S] [--bench-out PATH]
 //!         [--skip-fleet]`
 
-use cadflow::gen;
 use cadflow::netlist::Netlist;
 use conformance::wire_case;
 use fleet::sim::{simulate, FleetSimSpec};
 use fleet::{Fleet, FleetConfig, Request, ServingLibrary, WireFormat};
-use jpg::workflow::{build_base, ModuleSpec};
+use jpg::workflow::{base_modules, build_base, fig4};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use virtex::Device;
-use xdl::Rect;
-
-/// The Figure-4 partitioning (three full-height XCV100 regions, 3/3/4
-/// interchangeable modules), rebuilt here so the conformance crate does
-/// not depend on the benchmark harness.
-fn fig4_catalogues() -> (Vec<ModuleSpec>, Vec<(String, Vec<Netlist>)>) {
-    let catalogues: Vec<(String, Vec<Netlist>)> = vec![
-        (
-            "region1/".into(),
-            vec![
-                gen::counter("up", 3),
-                gen::down_counter("down", 3),
-                gen::gray_counter("gray", 3),
-            ],
-        ),
-        (
-            "region2/".into(),
-            vec![
-                gen::parity("par8", 8),
-                gen::string_matcher("match", &[true, false, true]),
-                gen::lfsr("lfsr", 4),
-            ],
-        ),
-        (
-            "region3/".into(),
-            vec![
-                gen::counter("up4", 4),
-                gen::accumulator("acc", 3),
-                gen::lfsr("lfsr5", 5),
-                gen::gray_counter("gray4", 4),
-            ],
-        ),
-    ];
-    let rects = [
-        Rect::new(0, 1, 19, 8),
-        Rect::new(0, 11, 19, 18),
-        Rect::new(0, 21, 19, 28),
-    ];
-    let modules = catalogues
-        .iter()
-        .zip(rects)
-        .map(|((prefix, variants), region)| ModuleSpec {
-            prefix: prefix.clone(),
-            netlist: variants[0].clone(),
-            region,
-        })
-        .collect();
-    (modules, catalogues)
-}
 
 struct EntryRatio {
     region: usize,
@@ -98,7 +48,12 @@ struct FleetComparison {
 
 /// Gate 2: the real Figure-4 library under both wire formats.
 fn fig4_gate() -> Result<FleetComparison, u64> {
-    let (modules, catalogues) = fig4_catalogues();
+    let regions = fig4();
+    let modules = base_modules(&regions);
+    let catalogues: Vec<(String, Vec<Netlist>)> = regions
+        .into_iter()
+        .map(|r| (r.prefix, r.variants))
+        .collect();
     let build_lib = || {
         let base = build_base("fig4", Device::XCV100, &modules, 11).expect("fig4 base design");
         Arc::new(ServingLibrary::build(&base, &catalogues, 90).expect("fig4 library"))

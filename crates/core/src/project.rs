@@ -269,8 +269,7 @@ impl JpgProject {
         Ok(self.finish_partial(design, constraints, stamped, bits, total_frames))
     }
 
-    /// The pre-incremental reference engine, kept as a cross-check and
-    /// as the baseline `benches/par_generation` measures against: stamp
+    /// The pre-incremental reference engine, kept as a cross-check: stamp
     /// the module, decide what to emit with a ground-truth **full-memory
     /// diff** against the base (no dirty byproduct, no frame cache) and
     /// expand the diff to whole configuration columns — the classic

@@ -17,9 +17,10 @@
 
 use crate::cache::FrameCache;
 use crate::project::JpgProject;
-use crate::workflow::{build_base, implement_variant, BaseDesign, ModuleSpec};
+use crate::workflow::{
+    base_modules, build_base, fig4, implement_variant, BaseDesign, RegionSpec, FIG4_DEVICE,
+};
 use cadflow::gen;
-use cadflow::netlist::Netlist;
 use jbits::Xhwif;
 use simboard::port::download_time;
 use simboard::SimBoard;
@@ -95,55 +96,14 @@ impl Workload {
     }
 }
 
-struct RegionPlan {
-    prefix: &'static str,
-    region: Rect,
-    variants: Vec<Netlist>,
-}
-
-fn plan(workload: Workload) -> (Device, u64, Vec<RegionPlan>) {
+fn plan(workload: Workload) -> (Device, u64, Vec<RegionSpec>) {
     match workload {
-        // Mirrors `bench::fig4_regions` (the bench crate sits above this
-        // one, so the scenario is restated rather than imported).
-        Workload::Fig4 => (
-            Device::XCV100,
-            11,
-            vec![
-                RegionPlan {
-                    prefix: "region1/",
-                    region: Rect::new(0, 1, 19, 8),
-                    variants: vec![
-                        gen::counter("up", 3),
-                        gen::down_counter("down", 3),
-                        gen::gray_counter("gray", 3),
-                    ],
-                },
-                RegionPlan {
-                    prefix: "region2/",
-                    region: Rect::new(0, 11, 19, 18),
-                    variants: vec![
-                        gen::parity("par8", 8),
-                        gen::string_matcher("match", &[true, false, true]),
-                        gen::lfsr("lfsr", 4),
-                    ],
-                },
-                RegionPlan {
-                    prefix: "region3/",
-                    region: Rect::new(0, 21, 19, 28),
-                    variants: vec![
-                        gen::counter("up4", 4),
-                        gen::accumulator("acc", 3),
-                        gen::lfsr("lfsr5", 5),
-                        gen::gray_counter("gray4", 4),
-                    ],
-                },
-            ],
-        ),
+        Workload::Fig4 => (FIG4_DEVICE, 11, fig4()),
         Workload::Smoke => (
             Device::XCV50,
             7,
-            vec![RegionPlan {
-                prefix: "mod1/",
+            vec![RegionSpec {
+                prefix: "mod1/".into(),
                 region: Rect::new(0, 2, 15, 7),
                 variants: vec![gen::counter("up", 3), gen::down_counter("down", 3)],
             }],
@@ -251,16 +211,8 @@ fn run_traced(workload: Workload) -> Result<(usize, usize, usize, usize), String
 
     // Phase 1: the base design (counters for translate/bitgen fire here;
     // the stage spans start with the per-variant JPG runs below).
-    let modules: Vec<ModuleSpec> = regions
-        .iter()
-        .map(|r| ModuleSpec {
-            prefix: r.prefix.to_string(),
-            netlist: r.variants[0].clone(),
-            region: r.region,
-        })
-        .collect();
     let base: BaseDesign =
-        build_base("report", device, &modules, seed).map_err(|e| e.to_string())?;
+        build_base("report", device, &base_modules(&regions), seed).map_err(|e| e.to_string())?;
     let project = JpgProject::from_memory("report", base.memory.clone());
     let full_bytes = base.bitstream.bitstream.byte_len();
 
@@ -295,14 +247,14 @@ fn run_traced(workload: Workload) -> Result<(usize, usize, usize, usize), String
     // The CAD stages of different variants overlap across worker
     // threads; spans land in the shared collector regardless of thread.
     use rayon::prelude::*;
-    let jobs: Vec<(&RegionPlan, usize)> = regions
+    let jobs: Vec<(&RegionSpec, usize)> = regions
         .iter()
         .flat_map(|r| (1..r.variants.len()).map(move |vi| (r, vi)))
         .collect();
     let generated: Vec<crate::project::PartialResult> = jobs
         .par_iter()
         .map(|&(r, vi)| {
-            let variant = implement_variant(&base, r.prefix, &r.variants[vi], seed + vi as u64)
+            let variant = implement_variant(&base, &r.prefix, &r.variants[vi], seed + vi as u64)
                 .map_err(|e| e.to_string())?;
             let constraints = Constraints::parse(&variant.ucf).map_err(|e| e.to_string())?;
             let _incremental = project

@@ -29,6 +29,91 @@ pub struct ModuleSpec {
     pub region: Rect,
 }
 
+/// One region of a multi-region scenario: its floorplan rectangle and
+/// the interchangeable modules that can occupy it.
+#[derive(Debug, Clone)]
+pub struct RegionSpec {
+    /// Hierarchical prefix of the region's module, e.g. `"region1/"`.
+    pub prefix: String,
+    /// Floorplan region (the columns every variant owns).
+    pub region: Rect,
+    /// Interchangeable module implementations; the first one goes into
+    /// the base design.
+    pub variants: Vec<Netlist>,
+}
+
+impl RegionSpec {
+    /// The region holding its `variant`-th implementation.
+    pub fn module(&self, variant: usize) -> ModuleSpec {
+        ModuleSpec {
+            prefix: self.prefix.clone(),
+            netlist: self.variants[variant].clone(),
+            region: self.region,
+        }
+    }
+
+    /// The region's variants as a [`build_library_pipelined`] catalogue.
+    pub fn catalogue(&self) -> RegionCatalogue<'_> {
+        RegionCatalogue {
+            prefix: &self.prefix,
+            variants: &self.variants,
+        }
+    }
+}
+
+/// The Phase-1 modules of a scenario: every region with its first
+/// variant.
+pub fn base_modules(regions: &[RegionSpec]) -> Vec<ModuleSpec> {
+    regions.iter().map(|r| r.module(0)).collect()
+}
+
+/// Device of the paper's Figure-4 scenario.
+pub const FIG4_DEVICE: Device = Device::XCV100;
+
+/// The paper's Figure-4 partitioning: three 8-column regions (CLB
+/// columns 1–8, 11–18 and 21–28, rows 0–19: full height on the
+/// [`FIG4_DEVICE`]) with 3, 3 and 4 interchangeable modules — 36
+/// complete bitstreams under the conventional flow, 1 complete + 10
+/// partials with JPG.
+pub fn fig4() -> Vec<RegionSpec> {
+    use cadflow::gen;
+    let region = |prefix: &str, col0: i32, variants: Vec<Netlist>| RegionSpec {
+        prefix: prefix.into(),
+        region: Rect::new(0, col0, 19, col0 + 7),
+        variants,
+    };
+    vec![
+        region(
+            "region1/",
+            1,
+            vec![
+                gen::counter("up", 3),
+                gen::down_counter("down", 3),
+                gen::gray_counter("gray", 3),
+            ],
+        ),
+        region(
+            "region2/",
+            11,
+            vec![
+                gen::parity("par8", 8),
+                gen::string_matcher("match", &[true, false, true]),
+                gen::lfsr("lfsr", 4),
+            ],
+        ),
+        region(
+            "region3/",
+            21,
+            vec![
+                gen::counter("up4", 4),
+                gen::accumulator("acc", 3),
+                gen::lfsr("lfsr5", 5),
+                gen::gray_counter("gray4", 4),
+            ],
+        ),
+    ]
+}
+
 /// Phase-1 output: the implemented base design and its artifacts.
 #[derive(Debug, Clone)]
 pub struct BaseDesign {
@@ -530,6 +615,25 @@ mod tests {
                     "{gp}{gn} diverged (incremental={incremental})"
                 );
             }
+        }
+    }
+
+    /// Partials only compose onto one base if the Figure-4 regions
+    /// occupy disjoint column ranges (Virtex reconfigures whole columns)
+    /// that fit the device.
+    #[test]
+    fn fig4_regions_are_column_disjoint_and_on_device() {
+        let regions = fig4();
+        let geom = FIG4_DEVICE.geometry();
+        for pair in regions.windows(2) {
+            assert!(
+                pair[0].region.col1 < pair[1].region.col0,
+                "regions share a column"
+            );
+        }
+        for r in &regions {
+            assert!(r.region.col0 >= 0 && r.region.col1 < geom.clb_cols as i32);
+            assert_eq!(r.region.row1, geom.clb_rows as i32 - 1, "full height");
         }
     }
 

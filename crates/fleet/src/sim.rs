@@ -14,9 +14,8 @@
 //! (the real store's once-lock race is winner-takes-miss and therefore
 //! timing-dependent; a model must not be).
 //!
-//! [`simulate`] is the single entry point used by the determinism test
-//! suite, the property tests, `jpg-cli fleet-sim` and the
-//! `fleet_scale_smoke` benchmark.
+//! [`simulate`] is the single entry point used by the determinism,
+//! property and fault-soak test suites and by `jpg-cli fleet-sim`.
 
 use crate::clock::Vt;
 use crate::metrics::FleetMetrics;

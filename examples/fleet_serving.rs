@@ -18,7 +18,7 @@
 use cadflow::gen;
 use cadflow::netlist::Netlist;
 use fleet::{Fleet, FleetConfig, Request, ServeMode, ServingLibrary};
-use jpg::workflow::{build_base, BaseDesign, ModuleSpec};
+use jpg::workflow::{base_modules, build_base, fig4, BaseDesign, RegionSpec, FIG4_DEVICE};
 use std::sync::Arc;
 use virtex::Device;
 use xdl::Rect;
@@ -32,92 +32,45 @@ struct Scenario {
     requests: usize,
 }
 
-/// The paper's Figure-4 partitioning on an XCV100.
-fn fig4() -> Scenario {
-    let device = Device::XCV100; // 20 x 30 CLBs
-    let rows = device.geometry().clb_rows as i32 - 1;
-    let catalogues = vec![
-        (
-            "region1/".to_string(),
-            vec![
-                gen::counter("up", 3),
-                gen::down_counter("down", 3),
-                gen::gray_counter("gray", 3),
-            ],
-        ),
-        (
-            "region2/".to_string(),
-            vec![
-                gen::parity("par8", 8),
-                gen::string_matcher("match", &[true, false, true]),
-                gen::lfsr("lfsr", 4),
-            ],
-        ),
-        (
-            "region3/".to_string(),
-            vec![
-                gen::counter("up4", 4),
-                gen::accumulator("acc", 3),
-                gen::lfsr("lfsr5", 5),
-                gen::gray_counter("gray4", 4),
-            ],
-        ),
-    ];
-    let rects = [
-        Rect::new(0, 1, rows, 8),
-        Rect::new(0, 11, rows, 18),
-        Rect::new(0, 21, rows, 28),
-    ];
-    let modules: Vec<ModuleSpec> = catalogues
-        .iter()
-        .zip(rects)
-        .map(|((prefix, variants), region)| ModuleSpec {
-            prefix: prefix.clone(),
-            netlist: variants[0].clone(),
-            region,
-        })
+/// Build `regions`' base design (first variant each) on `device`.
+fn scenario(
+    name: &str,
+    device: Device,
+    regions: Vec<RegionSpec>,
+    seed: u64,
+    boards: usize,
+    requests: usize,
+) -> Scenario {
+    let base = build_base(name, device, &base_modules(&regions), seed).expect("base design");
+    let catalogues = regions
+        .into_iter()
+        .map(|r| (r.prefix, r.variants))
         .collect();
-    let base = build_base("fig4", device, &modules, 11).expect("fig4 base design");
     Scenario {
         base,
         catalogues,
-        boards: 4,
-        requests: 60,
+        boards,
+        requests,
     }
 }
 
 /// A cut-down scenario for CI smoke runs: XCV50, two regions, two
 /// variants each, two boards.
 fn smoke() -> Scenario {
-    let device = Device::XCV50;
-    let rows = device.geometry().clb_rows as i32 - 1;
-    let catalogues = vec![
-        (
-            "r1/".to_string(),
-            vec![gen::counter("up", 3), gen::gray_counter("gray", 3)],
-        ),
-        (
-            "r2/".to_string(),
-            vec![gen::down_counter("down", 3), gen::lfsr("lfsr", 3)],
-        ),
+    let rows = Device::XCV50.geometry().clb_rows as i32 - 1;
+    let regions = vec![
+        RegionSpec {
+            prefix: "r1/".into(),
+            region: Rect::new(0, 1, rows, 4),
+            variants: vec![gen::counter("up", 3), gen::gray_counter("gray", 3)],
+        },
+        RegionSpec {
+            prefix: "r2/".into(),
+            region: Rect::new(0, 7, rows, 10),
+            variants: vec![gen::down_counter("down", 3), gen::lfsr("lfsr", 3)],
+        },
     ];
-    let rects = [Rect::new(0, 1, rows, 4), Rect::new(0, 7, rows, 10)];
-    let modules: Vec<ModuleSpec> = catalogues
-        .iter()
-        .zip(rects)
-        .map(|((prefix, variants), region)| ModuleSpec {
-            prefix: prefix.clone(),
-            netlist: variants[0].clone(),
-            region,
-        })
-        .collect();
-    let base = build_base("smoke", device, &modules, 7).expect("smoke base design");
-    Scenario {
-        base,
-        catalogues,
-        boards: 2,
-        requests: 12,
-    }
+    scenario("smoke", Device::XCV50, regions, 7, 2, 12)
 }
 
 /// A deterministic request mix over the library: a hot variant (every
@@ -174,7 +127,11 @@ fn run_mode(scn: &Scenario, lib: &Arc<ServingLibrary>, mode: ServeMode) -> (f64,
 
 fn main() {
     let smoke_mode = std::env::args().any(|a| a == "smoke");
-    let scn = if smoke_mode { smoke() } else { fig4() };
+    let scn = if smoke_mode {
+        smoke()
+    } else {
+        scenario("fig4", FIG4_DEVICE, fig4(), 11, 4, 60)
+    };
     let variants: usize = scn.catalogues.iter().map(|(_, v)| v.len()).sum();
     println!(
         "Library: {} regions, {} variants on {} — serving {} requests on {} boards",

@@ -12,58 +12,16 @@
 //! tabulates the bitstream economics against the (computed) conventional
 //! counts.
 
-use cadflow::gen;
-use jpg::workflow::{build_base, implement_variant, ModuleSpec};
+use jpg::workflow::{base_modules, build_base, fig4, implement_variant, FIG4_DEVICE};
 use jpg::JpgProject;
-use virtex::Device;
-use xdl::Rect;
 
 fn main() {
-    let device = Device::XCV100; // 20 x 30 CLBs
-
-    // Three full-height regions, as in Figure 4.
-    let regions = [
-        ("region1/", Rect::new(0, 1, 19, 8)),
-        ("region2/", Rect::new(0, 11, 19, 18)),
-        ("region3/", Rect::new(0, 21, 19, 28)),
-    ];
-    // Variant catalogues: 3, 3 and 4 implementations.
-    let variants1 = vec![
-        gen::counter("up", 3),
-        gen::down_counter("down", 3),
-        gen::gray_counter("gray", 3),
-    ];
-    let variants2 = vec![
-        gen::parity("par8", 8),
-        gen::string_matcher("match", &[true, false, true]),
-        gen::lfsr("lfsr", 4),
-    ];
-    let variants3 = vec![
-        gen::counter("up", 4),
-        gen::accumulator("acc", 3),
-        gen::lfsr("lfsr5", 5),
-        gen::gray_counter("gray4", 4),
-    ];
+    // Three full-height regions on an XCV100 (20 x 30 CLBs), with 3, 3
+    // and 4 implementations each, as in Figure 4.
+    let regions = fig4();
 
     println!("Building the base design (first variant of each region)…");
-    let modules: Vec<ModuleSpec> = vec![
-        ModuleSpec {
-            prefix: regions[0].0.into(),
-            netlist: variants1[0].clone(),
-            region: regions[0].1,
-        },
-        ModuleSpec {
-            prefix: regions[1].0.into(),
-            netlist: variants2[0].clone(),
-            region: regions[1].1,
-        },
-        ModuleSpec {
-            prefix: regions[2].0.into(),
-            netlist: variants3[0].clone(),
-            region: regions[2].1,
-        },
-    ];
-    let base = build_base("fig4", device, &modules, 11).expect("base");
+    let base = build_base("fig4", FIG4_DEVICE, &base_modules(&regions), 11).expect("base");
     let full_bytes = base.bitstream.bitstream.byte_len();
     println!("  complete base bitstream: {full_bytes} bytes");
 
@@ -72,13 +30,9 @@ fn main() {
     println!("\nGenerating all 10 partial bitstreams…");
     let mut partial_bytes_total = 0usize;
     let mut partial_count = 0usize;
-    let catalogues: [(&str, &[cadflow::Netlist]); 3] = [
-        (regions[0].0, &variants1),
-        (regions[1].0, &variants2),
-        (regions[2].0, &variants3),
-    ];
-    for (prefix, variants) in catalogues {
-        for (vi, nl) in variants.iter().enumerate() {
+    for r in &regions {
+        let prefix = &r.prefix;
+        for (vi, nl) in r.variants.iter().enumerate() {
             let v = implement_variant(&base, prefix, nl, 100 + vi as u64).expect("variant");
             let partial = project.generate_partial(&v.xdl, &v.ucf).expect("partial");
             println!(
@@ -96,7 +50,7 @@ fn main() {
         }
     }
 
-    let combos = 3 * 3 * 4;
+    let combos: usize = regions.iter().map(|r| r.variants.len()).product();
     println!("\n== Figure 4 economics ==");
     println!(
         "conventional flow : {combos} complete bitstreams = {} bytes",

@@ -5,9 +5,11 @@
 //! under test must give an identical model — slices, pads, PIPs in
 //! order, clock connectivity — or the identical error.
 
-use cadflow::gen;
 use jbits::Jbits;
-use jpg::workflow::{build_base, build_library_pipelined, ModuleSpec, RegionCatalogue};
+use jpg::workflow::{
+    base_modules, build_base, build_library_pipelined, fig4, RegionCatalogue, RegionSpec,
+    FIG4_DEVICE,
+};
 use simboard::fabric::{DecodedIob, DecodedSlice};
 use simboard::{DecodeError, FabricModel, SimBoard};
 use std::collections::HashMap;
@@ -15,7 +17,6 @@ use virtex::{
     ClbResource, ConfigMemory, Device, IobResource, MuxSetting, SliceId, SlicePin, SliceResource,
     TileCoord, Wire, WireKind,
 };
-use xdl::Rect;
 
 fn oracle_tile_in_use(jb: &mut Jbits, tile: TileCoord) -> bool {
     let (frames, slot) = jb.layout().window_bounds(tile);
@@ -119,65 +120,20 @@ fn assert_same_decode(mem: &ConfigMemory, what: &str) -> Result<FabricModel, Dec
     got
 }
 
-/// The Figure-4 catalogue on the XCV100: three full-height regions with
-/// 3, 3 and 4 variants.
-fn fig4() -> Vec<(&'static str, Rect, Vec<cadflow::netlist::Netlist>)> {
-    vec![
-        (
-            "region1/",
-            Rect::new(0, 1, 19, 8),
-            vec![
-                gen::counter("up", 3),
-                gen::down_counter("down", 3),
-                gen::gray_counter("gray", 3),
-            ],
-        ),
-        (
-            "region2/",
-            Rect::new(0, 11, 19, 18),
-            vec![
-                gen::parity("par8", 8),
-                gen::string_matcher("match", &[true, false, true]),
-                gen::lfsr("lfsr", 4),
-            ],
-        ),
-        (
-            "region3/",
-            Rect::new(0, 21, 19, 28),
-            vec![
-                gen::counter("up4", 4),
-                gen::accumulator("acc", 3),
-                gen::lfsr("lfsr5", 5),
-                gen::gray_counter("gray4", 4),
-            ],
-        ),
-    ]
-}
-
 #[test]
 fn fig4_base_and_every_variant_decode_like_the_oracle() {
-    let catalogue = fig4();
-    let modules: Vec<ModuleSpec> = catalogue
-        .iter()
-        .map(|(prefix, region, variants)| ModuleSpec {
-            prefix: prefix.to_string(),
-            netlist: variants[0].clone(),
-            region: *region,
-        })
-        .collect();
-    let base = build_base("fig4", Device::XCV100, &modules, 11).expect("Figure-4 base builds");
+    let regions = fig4();
+    let base =
+        build_base("fig4", FIG4_DEVICE, &base_modules(&regions), 11).expect("Figure-4 base builds");
     let model = assert_same_decode(&base.memory, "Figure-4 base").expect("base decodes");
     assert!(!model.slices.is_empty() && !model.iobs.is_empty() && !model.pips.is_empty());
     assert!(model.slices.iter().any(|s| s.clocked));
 
-    let cats: Vec<RegionCatalogue<'_>> = catalogue
-        .iter()
-        .map(|(prefix, _, variants)| RegionCatalogue { prefix, variants })
-        .collect();
+    let cats: Vec<RegionCatalogue<'_>> = regions.iter().map(RegionSpec::catalogue).collect();
     let library = build_library_pipelined(&base, &cats, 5, false).expect("library builds");
     assert_eq!(library.len(), 10);
 
-    let mut board = SimBoard::new(Device::XCV100);
+    let mut board = SimBoard::new(FIG4_DEVICE);
     jbits::Xhwif::set_configuration(&mut board, &base.bitstream.bitstream).unwrap();
     for (prefix, name, partial) in &library {
         jbits::Xhwif::set_configuration(&mut board, &partial.bitstream).unwrap();

@@ -6,9 +6,11 @@
 //! on the error, if any.
 
 use bitstream::ConfigError;
-use cadflow::gen;
 use jbits::{Jbits, Xhwif};
-use jpg::workflow::{build_base, build_library_pipelined, ModuleSpec, RegionCatalogue};
+use jpg::workflow::{
+    base_modules, build_base, build_library_pipelined, fig4, RegionCatalogue, RegionSpec,
+    FIG4_DEVICE,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use simboard::fabric::DecodedSlice;
@@ -18,7 +20,6 @@ use virtex::{
     ClbResource, ConfigMemory, Device, IobResource, LutId, MuxSetting, Pip, ResourceValue,
     RoutingGraph, SliceId, SlicePin, SliceResource, TileCoord, Wire, WireKind,
 };
-use xdl::Rect;
 
 /// The original settle engine: wire values in a `HashMap`, pad drives by
 /// `(tile, pad)`, each pass collecting its writes into fresh vectors.
@@ -264,60 +265,15 @@ fn lockstep(model: &FabricModel, seed: u64, steps: usize, what: &str) -> usize {
     errors
 }
 
-/// The Figure-4 catalogue on the XCV100: three full-height regions with
-/// 3, 3 and 4 variants.
-fn fig4() -> Vec<(&'static str, Rect, Vec<cadflow::netlist::Netlist>)> {
-    vec![
-        (
-            "region1/",
-            Rect::new(0, 1, 19, 8),
-            vec![
-                gen::counter("up", 3),
-                gen::down_counter("down", 3),
-                gen::gray_counter("gray", 3),
-            ],
-        ),
-        (
-            "region2/",
-            Rect::new(0, 11, 19, 18),
-            vec![
-                gen::parity("par8", 8),
-                gen::string_matcher("match", &[true, false, true]),
-                gen::lfsr("lfsr", 4),
-            ],
-        ),
-        (
-            "region3/",
-            Rect::new(0, 21, 19, 28),
-            vec![
-                gen::counter("up4", 4),
-                gen::accumulator("acc", 3),
-                gen::lfsr("lfsr5", 5),
-                gen::gray_counter("gray4", 4),
-            ],
-        ),
-    ]
-}
-
 #[test]
 fn fig4_base_and_every_variant_settle_like_the_oracle() {
-    let catalogue = fig4();
-    let modules: Vec<ModuleSpec> = catalogue
-        .iter()
-        .map(|(prefix, region, variants)| ModuleSpec {
-            prefix: prefix.to_string(),
-            netlist: variants[0].clone(),
-            region: *region,
-        })
-        .collect();
-    let base = build_base("fig4", Device::XCV100, &modules, 11).expect("Figure-4 base builds");
-    let cats: Vec<RegionCatalogue<'_>> = catalogue
-        .iter()
-        .map(|(prefix, _, variants)| RegionCatalogue { prefix, variants })
-        .collect();
+    let regions = fig4();
+    let base =
+        build_base("fig4", FIG4_DEVICE, &base_modules(&regions), 11).expect("Figure-4 base builds");
+    let cats: Vec<RegionCatalogue<'_>> = regions.iter().map(RegionSpec::catalogue).collect();
     let library = build_library_pipelined(&base, &cats, 5, false).expect("library builds");
 
-    let mut board = SimBoard::new(Device::XCV100);
+    let mut board = SimBoard::new(FIG4_DEVICE);
     board.set_configuration(&base.bitstream.bitstream).unwrap();
     let model = board.fabric().unwrap().model().clone();
     assert!(model.slices.iter().any(|s| s.clocked) && model.iobs.iter().any(|io| io.inbuf));
