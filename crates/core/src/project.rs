@@ -669,6 +669,48 @@ mod tests {
         assert!(matches!(err, JpgError::Drc(_)), "{err}");
     }
 
+    /// An IOB tile has pads `0..PADS_PER_IOB`. A pad index past that used
+    /// to pass every input check: a UCF `LOC` implemented "successfully"
+    /// with a PIP the fabric lacks, and pad 200 panicked in the JBits
+    /// layout.
+    #[test]
+    fn out_of_range_pads_are_rejected_at_every_input() {
+        let err = Constraints::parse("NET \"clk\" LOC = \"IOB_R5C0.P9\" ;\n").unwrap_err();
+        assert!(err.to_string().contains("IOB_R5C0.P9"), "{err}");
+
+        let b = base();
+        let variant = implement_variant(&b, "mod1/", &gen::counter("c", 3), 5).unwrap();
+        let (name, io) = variant
+            .design
+            .instances
+            .iter()
+            .find_map(|i| match i.placement {
+                xdl::Placement::Iob(io) => Some((i.name.clone(), io)),
+                _ => None,
+            })
+            .expect("the module has a pad");
+        let site = io.site_name();
+        assert!(variant.xdl.contains(&site));
+        let bad_site = format!("{}.P200", site.rsplit_once(".P").unwrap().0);
+        let text = variant.xdl.replace(&site, &bad_site);
+        let err = xdl::parse(&text).unwrap_err();
+        assert!(err.to_string().contains("bad IOB site"), "{err}");
+
+        let mut design = variant.design.clone();
+        design.instance_mut(&name).unwrap().placement =
+            xdl::Placement::Iob(virtex::IobCoord::new(io.tile, 200));
+        let project = JpgProject::open(b.bitstream.clone()).unwrap();
+        let err = project
+            .generate_partial_from(&design, &Constraints::default())
+            .unwrap_err();
+        assert!(
+            matches!(&err, JpgError::Drc(v) if v.iter().any(|v| matches!(
+                v, xdl::Violation::BadSite { instance, .. } if *instance == name
+            ))),
+            "{err}"
+        );
+    }
+
     #[test]
     fn device_mismatch_and_empty_module_errors() {
         let b = base();

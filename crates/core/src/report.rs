@@ -52,6 +52,9 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "wire_bytes_on_wire_total",
     "wire_wholesale_fallback_total",
     "wire_applies_total",
+    "cadflow_place_moves_total",
+    "cadflow_route_expansions_total",
+    "cadflow_route_heap_pushes_total",
 ];
 
 /// The canonical pipeline order for the stage table; spans outside this

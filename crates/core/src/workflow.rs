@@ -208,6 +208,30 @@ pub fn module_constraints(prefix: &str, region: Rect) -> Constraints {
     Constraints::parse(&text).expect("generated UCF parses")
 }
 
+/// Implement one module: `cadflow::implement`, with the flow's CAD work
+/// (annealing moves, router expansions and heap pushes) added to the
+/// metric registry.
+fn implement_module(
+    netlist: &Netlist,
+    device: Device,
+    cons: &Constraints,
+    prefix: &str,
+    guide: Option<&Design>,
+    opts: &FlowOptions,
+) -> Result<(Design, FlowReport), WorkflowError> {
+    let (design, report) =
+        implement(netlist, device, cons, prefix, guide, opts).map_err(|error| {
+            WorkflowError::Flow {
+                module: prefix.to_string(),
+                error,
+            }
+        })?;
+    obs::counter!("cadflow_place_moves_total").add(report.place.moves);
+    obs::counter!("cadflow_route_expansions_total").add(report.route.expansions);
+    obs::counter!("cadflow_route_heap_pushes_total").add(report.route.heap_pushes);
+    Ok((design, report))
+}
+
 fn flow_options(seed: u64, region: Rect, clock_index: u8) -> FlowOptions {
     let mut opts = FlowOptions::default();
     opts.place.seed = seed;
@@ -242,18 +266,14 @@ pub fn build_base(
     for (mi, m) in modules.iter().enumerate() {
         let cons = module_constraints(&m.prefix, m.region);
         constraints.merge(&cons);
-        let (d, report) = implement(
+        let (d, report) = implement_module(
             &m.netlist,
             device,
             &cons,
             &m.prefix,
             None,
             &flow_options(seed, m.region, mi as u8),
-        )
-        .map_err(|error| WorkflowError::Flow {
-            module: m.prefix.clone(),
-            error,
-        })?;
+        )?;
         designs.push(d);
         reports.push(report);
     }
@@ -296,18 +316,14 @@ pub fn implement_variant(
         .iter()
         .position(|p| p == prefix)
         .expect("prefix was part of the Phase-1 base design") as u8;
-    let (design, report) = implement(
+    let (design, report) = implement_module(
         netlist,
         base.design.device,
         &cons,
         prefix,
         Some(&base.design),
         &flow_options(seed, region, clock_index),
-    )
-    .map_err(|error| WorkflowError::Flow {
-        module: prefix.to_string(),
-        error,
-    })?;
+    )?;
     Ok(VariantResult {
         xdl: xdl::print(&design),
         ucf: cons.print(),
@@ -677,5 +693,37 @@ mod tests {
         let reparsed = xdl::parse(&variant.xdl).unwrap();
         assert_eq!(reparsed, variant.design);
         assert!(Constraints::parse(&variant.ucf).is_ok());
+    }
+
+    #[test]
+    fn each_flow_adds_its_cad_work_to_the_registry() {
+        let total = |name| obs::global().snapshot().counter_total(name).unwrap_or(0);
+        let names = [
+            "cadflow_place_moves_total",
+            "cadflow_route_expansions_total",
+            "cadflow_route_heap_pushes_total",
+        ];
+        let before = names.map(total);
+        let base = two_module_base();
+        let variant = implement_variant(&base, "mod1/", &gen::down_counter("down", 3), 7).unwrap();
+        let after = names.map(total);
+        // Other tests in this binary may run flows concurrently, so the
+        // counters grow by at least this thread's work.
+        let work = |f: fn(&FlowReport) -> u64| {
+            base.reports
+                .iter()
+                .chain([&variant.report])
+                .map(f)
+                .sum::<u64>()
+        };
+        let own = [
+            work(|r| r.place.moves),
+            work(|r| r.route.expansions),
+            work(|r| r.route.heap_pushes),
+        ];
+        for ((name, (b, a)), w) in names.iter().zip(before.iter().zip(after)).zip(own) {
+            assert!(w > 0, "{name}: no work recorded in the flow reports");
+            assert!(a - b >= w, "{name}: grew by {} < {w}", a - b);
+        }
     }
 }

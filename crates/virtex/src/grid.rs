@@ -198,11 +198,15 @@ impl IobCoord {
         )
     }
 
-    /// Parse a site name produced by [`Self::site_name`].
+    /// Parse a site name produced by [`Self::site_name`]. A pad index
+    /// past [`crate::routing::PADS_PER_IOB`] names no site.
     pub fn parse_site_name(s: &str) -> Option<IobCoord> {
         let s = s.strip_prefix("IOB_")?;
         let (rc, pad) = s.split_once(".P")?;
         let pad: u8 = pad.parse().ok()?;
+        if usize::from(pad) >= crate::routing::PADS_PER_IOB {
+            return None;
+        }
         let rc = rc.strip_prefix('R')?;
         let (row, col) = rc.split_once('C')?;
         let row: i32 = row.parse().ok()?;
@@ -291,6 +295,12 @@ mod tests {
         assert_eq!(io.site_name(), "IOB_R17C1.P0");
         assert_eq!(IobCoord::parse_site_name(&io.site_name()), Some(io));
         assert_eq!(IobCoord::parse_site_name("CLB_R1C1.S0"), None);
+        // Pads run 0..PADS_PER_IOB.
+        let last = crate::routing::PADS_PER_IOB - 1;
+        assert!(IobCoord::parse_site_name(&format!("IOB_R0C6.P{last}")).is_some());
+        for pad in [last + 1, 9, 200, 255] {
+            assert_eq!(IobCoord::parse_site_name(&format!("IOB_R0C6.P{pad}")), None);
+        }
     }
 
     #[test]

@@ -5,6 +5,7 @@
 use crate::design::{Design, InstanceKind, NetKind, Placement};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use virtex::routing::PADS_PER_IOB;
 
 /// One DRC violation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,6 +170,15 @@ pub fn check(design: &Design) -> Vec<Violation> {
                         reason: format!("{} is not an IOB tile of {}", io.tile, design.device),
                     });
                 }
+                if usize::from(io.pad) >= PADS_PER_IOB {
+                    out.push(Violation::BadSite {
+                        instance: inst.name.clone(),
+                        reason: format!(
+                            "pad {} out of range: an IOB tile has pads 0..{PADS_PER_IOB}",
+                            io.pad
+                        ),
+                    });
+                }
                 if let Some(prev) = sites.insert(io.site_name(), &inst.name) {
                     out.push(Violation::SiteOverlap {
                         site: io.site_name(),
@@ -297,6 +307,28 @@ mod tests {
         let v = check(&d);
         assert!(v.iter().any(|x| matches!(x, Violation::SiteOverlap { .. })));
         assert!(v.iter().any(|x| matches!(x, Violation::BadSite { .. })));
+    }
+
+    #[test]
+    fn detects_out_of_range_pad() {
+        let mut d = Design::new("t", Device::XCV50);
+        let ring = TileCoord::new(4, -1);
+        for (name, pad) in [("ok", 3), ("p4", 4), ("p200", 200)] {
+            d.instances.push(Instance {
+                name: name.into(),
+                kind: InstanceKind::Iob,
+                placement: Placement::Iob(virtex::IobCoord::new(ring, pad)),
+                cfg: vec![],
+            });
+        }
+        let bad: Vec<String> = check(&d)
+            .into_iter()
+            .filter_map(|v| match v {
+                Violation::BadSite { instance, .. } => Some(instance),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(bad, ["p4", "p200"]);
     }
 
     #[test]
