@@ -502,8 +502,26 @@ fn fleet_sim(args: &[String]) -> ExitCode {
                 .parse()
                 .map_err(|_| format!("fleet-sim: --defrag-idle-ns wants an integer, got {v:?}"))?;
         }
-        if spec.boards == 0 || spec.requests == 0 {
-            return Err("fleet-sim: --boards and --requests must be positive".into());
+        // Every size must be positive, and bounded so that no flag can
+        // size an allocation past memory (the caps admit every
+        // documented run: 10 000 boards, 1 000 000 requests).
+        for (flag, value, max) in [
+            ("boards", spec.boards, 10_000),
+            ("requests", spec.requests, 1_000_000),
+            ("regions", regions, 256),
+            ("variants", variants, 4_096),
+        ] {
+            if !(1..=max).contains(&value) {
+                return Err(format!(
+                    "fleet-sim: --{flag} must be in 1..={max}, got {value}"
+                ));
+            }
+        }
+        if spec.slots > 1_024 {
+            return Err(format!(
+                "fleet-sim: --slots must be at most 1024, got {}",
+                spec.slots
+            ));
         }
 
         let r = fleet::simulate(&spec);

@@ -640,6 +640,49 @@ fn fleet_sim_verify_policies_cut_readback_traffic() {
     }
 }
 
+/// Size flags that would empty the key space or size an allocation
+/// past memory exit with a one-line error, never a panic or an abort.
+#[test]
+fn fleet_sim_rejects_empty_and_oversized_fleets() {
+    for (args, error) in [
+        (
+            &["--regions", "0"][..],
+            "--regions must be in 1..=256, got 0",
+        ),
+        (
+            &["--variants", "0"],
+            "--variants must be in 1..=4096, got 0",
+        ),
+        (&["--boards", "0"], "--boards must be in 1..=10000, got 0"),
+        (
+            &["--boards", "1000000000"],
+            "--boards must be in 1..=10000, got 1000000000",
+        ),
+        (
+            &["--requests", "1000000000"],
+            "--requests must be in 1..=1000000, got 1000000000",
+        ),
+        (
+            &["--regions", "100000", "--variants", "100000"],
+            "--regions must be in 1..=256, got 100000",
+        ),
+        (
+            &["--defrag", "--slots", "1000000000"],
+            "--slots must be at most 1024, got 1000000000",
+        ),
+    ] {
+        let out = Command::new(bin())
+            .arg("fleet-sim")
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must be rejected");
+        assert!(stderr.contains(error), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
 #[test]
 fn trace_rejects_empty_and_truncated_dumps_with_line_numbers() {
     let dir = tmpdir("trace-errors");
@@ -814,20 +857,13 @@ fn fleet_sim_trace_slo_and_trace_analysis_end_to_end() {
 
     // Traced compressed-wire run: JSON report carries the decoder
     // high-water mark and the SLO block; the dump lands on disk.
-    let run = |trace_path: &str, workers: &str| {
+    let run_sized = |trace_path: &str, size: &[&str]| {
         let out = Command::new(bin())
+            .arg("fleet-sim")
+            .args(size)
             .args([
-                "fleet-sim",
-                "--boards",
-                "16",
-                "--requests",
-                "600",
-                "--seed",
-                "5",
                 "--wire",
                 "compressed",
-                "--workers",
-                workers,
                 "--trace",
                 trace_path,
                 "--slo",
@@ -844,6 +880,19 @@ fn fleet_sim_trace_slo_and_trace_analysis_end_to_end() {
             "{stderr}"
         );
         String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let run = |trace_path: &str, workers: &str| {
+        let size = [
+            "--boards",
+            "16",
+            "--requests",
+            "600",
+            "--seed",
+            "5",
+            "--workers",
+            workers,
+        ];
+        run_sized(trace_path, &size)
     };
     let json = run(jsonl.to_str().unwrap(), "1");
     let peak = {
@@ -902,6 +951,12 @@ fn fleet_sim_trace_slo_and_trace_analysis_end_to_end() {
         "{chrome_text}"
     );
     obs::trace::validate_json(&chrome_text).expect("chrome trace is well-formed JSON");
+    // A larger seeded fleet's Chrome export is well-formed too.
+    let big = dir.join("fleet64.json");
+    let size = ["--boards", "64", "--requests", "2000", "--seed", "11"];
+    run_sized(big.to_str().unwrap(), &size);
+    let big_text = std::fs::read_to_string(&big).unwrap();
+    obs::trace::validate_json(&big_text).expect("64-board chrome trace is well-formed JSON");
 
     // `jpg-cli trace` ingests the JSONL dump and names the dominant
     // p99 stage plus the per-stage breakdown.

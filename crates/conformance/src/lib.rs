@@ -15,8 +15,8 @@
 //!   corruption must surface a typed [`bitstream::ConfigError`] with a
 //!   byte offset, never a panic, never silent acceptance;
 //! * [`mutation`] — the harness's own self-check: ten seeded generator
-//!   bugs that the checks above must catch (the CI gate requires at
-//!   least nine of ten detected);
+//!   bugs that the checks above must catch (the tests require at least
+//!   nine of ten detected);
 //! * [`reloc_trio`] — seeded relocation cases: every relocated partial
 //!   must be byte-identical to a fresh-at-target generation, land the
 //!   oracle's device state through the interpreter, and reject
@@ -33,7 +33,8 @@
 //!   themselves), and pull several times fewer readback bytes.
 //!
 //! Any failure reproduces from `Campaign::generate(seed)` — the seed is
-//! printed in every [`harness::Failure`].
+//! printed in every [`harness::Failure`]. The tests run each check over
+//! a fixed seed block through [`seed_block`].
 
 pub mod campaign;
 pub mod fuzz;
@@ -45,8 +46,30 @@ pub mod wire_trio;
 
 pub use campaign::{Campaign, CampaignOp};
 pub use fuzz::{fuzz_case, Corruption};
-pub use harness::{run_batch, run_case, run_project_case, CaseOutcome, Failure, Schedule};
+pub use harness::{run_case, run_project_case, CaseOutcome, Failure, Schedule};
 pub use mutation::{self_check, SeededBug};
 pub use reloc_trio::{reloc_case, RelocOutcome, RELOC_DEVICES};
 pub use verify_trio::{verify_case, VerifyCaseOutcome};
 pub use wire_trio::{wire_case, WireOutcome, WIRE_DEVICES};
+
+/// Run `case` on every seed in `seeds` and return the passing seeds'
+/// outcomes. Stops after five failures, then panics naming every
+/// failing seed with its message.
+pub fn seed_block<T, E: std::fmt::Display>(
+    seeds: std::ops::Range<u64>,
+    mut case: impl FnMut(u64) -> Result<T, E>,
+) -> Vec<T> {
+    let mut outcomes = Vec::new();
+    let mut failures = Vec::new();
+    for seed in seeds {
+        match case(seed) {
+            Ok(o) => outcomes.push(o),
+            Err(e) => failures.push(format!("seed {seed}: {e}")),
+        }
+        if failures.len() == 5 {
+            break;
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+    outcomes
+}

@@ -4,8 +4,8 @@
 //! ten injectable, historically plausible bugs. Each mutant is *honest*
 //! about its CRC — the stream is self-consistent, so nothing falls out
 //! for free — and the harness's oracle/readback/followup checks must
-//! still catch it. [`self_check`] runs all ten; CI gates on at least
-//! nine detected.
+//! still catch it. [`self_check`] runs all ten; the unit test below
+//! gates on at least nine detected.
 
 use crate::harness::{check_stream, Failure};
 use bitstream::crc::{Crc16, BITS_PER_UPDATE};

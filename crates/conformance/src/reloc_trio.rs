@@ -38,8 +38,6 @@ pub const RELOC_DEVICES: [Device; 4] = [
 /// Summary of one passed case, for campaign statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct RelocOutcome {
-    /// Device the case ran on.
-    pub device: Device,
     /// Frames the stamped partial carried.
     pub frames: usize,
     /// Whether the case moved BRAM majors rather than CLB columns.
@@ -158,11 +156,7 @@ pub fn reloc_case(seed: u64) -> Result<RelocOutcome, String> {
             }
         }
         let frames = oracle_mem.dirty_frames().len();
-        return Ok(RelocOutcome {
-            device,
-            frames,
-            bram: true,
-        });
+        return Ok(RelocOutcome { frames, bram: true });
     }
 
     // CLB case: a contiguous span moved to a random in-range start.
@@ -215,7 +209,6 @@ pub fn reloc_case(seed: u64) -> Result<RelocOutcome, String> {
 
     let frames = oracle_mem.dirty_frames().len();
     Ok(RelocOutcome {
-        device,
         frames,
         bram: false,
     })
@@ -224,17 +217,6 @@ pub fn reloc_case(seed: u64) -> Result<RelocOutcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn first_hundred_seeds_pass_the_trio() {
-        let mut bram = 0usize;
-        for seed in 0..100 {
-            let o = reloc_case(seed).unwrap();
-            assert!(o.frames > 0);
-            bram += usize::from(o.bram);
-        }
-        assert!(bram > 0, "BRAM cases must be sampled");
-    }
 
     #[test]
     fn every_fifth_seed_is_a_bram_case() {

@@ -42,8 +42,6 @@ pub struct VerifyCaseOutcome {
     pub policy: &'static str,
     /// Per-download fault probability injected on both faulted runs.
     pub fault_rate: f64,
-    /// Requests served (all of them, or the case failed).
-    pub served: u64,
     /// Corrupt downloads caught — identical between the faulted `Full`
     /// reference and the tiered run by construction.
     pub corrupts_caught: u64,
@@ -257,7 +255,6 @@ pub fn verify_case(seed: u64) -> Result<VerifyCaseOutcome, String> {
     Ok(VerifyCaseOutcome {
         policy: policy_name,
         fault_rate,
-        served: requests.len() as u64 - tiered.failed,
         corrupts_caught: tiered.verify_failures,
         escalations: tiered.verify_escalations,
         full_readback_bytes: full.readback_bytes,

@@ -41,8 +41,6 @@ pub const WIRE_DEVICES: [Device; 4] = [
 /// Summary of one passed case, for campaign statistics.
 #[derive(Debug, Clone, Copy)]
 pub struct WireOutcome {
-    /// Device the case ran on.
-    pub device: Device,
     /// Container sections.
     pub sections: usize,
     /// Encoded container bytes.
@@ -304,7 +302,6 @@ pub fn wire_case(seed: u64) -> Result<WireOutcome, String> {
     check_corruption(seed, &mut rng, &enc.bytes, partial.words(), None)?;
 
     Ok(WireOutcome {
-        device,
         sections: enc.stats.sections,
         encoded_bytes: enc.stats.encoded_bytes,
         decoded_bytes: enc.stats.decoded_bytes,
@@ -315,18 +312,6 @@ pub fn wire_case(seed: u64) -> Result<WireOutcome, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn first_sixty_seeds_pass_the_trio() {
-        let mut delta = 0usize;
-        for seed in 0..60 {
-            let o = wire_case(seed).unwrap();
-            assert!(o.sections > 0);
-            assert!(o.encoded_bytes > 0 && o.decoded_bytes > 0);
-            delta += usize::from(o.delta);
-        }
-        assert!(delta > 0, "delta-coded cases must be sampled");
-    }
 
     #[test]
     fn every_corruption_category_is_reachable() {

@@ -269,34 +269,6 @@ impl JpgProject {
         Ok(self.finish_partial(design, constraints, stamped, bits, total_frames))
     }
 
-    /// The pre-incremental reference engine, kept as a cross-check: stamp
-    /// the module, decide what to emit with a ground-truth **full-memory
-    /// diff** against the base (no dirty byproduct, no frame cache) and
-    /// expand the diff to whole configuration columns — the classic
-    /// JBitsDiff column flow. It picks frames without the dirty marks or
-    /// the cache, so it is the oracle for the other generators' frame
-    /// selection; all three share [`bitgen::partial_bitstream`].
-    ///
-    /// Like [`Self::generate_partial_from`], the output covers whole
-    /// columns, so it is safe to apply over any earlier variant.
-    pub fn generate_partial_full_diff(
-        &self,
-        design: &Design,
-        constraints: &Constraints,
-    ) -> Result<PartialResult, JpgError> {
-        let stamped = self.stamp_module(design, constraints)?;
-        let diff_span = obs::span!("diff");
-        let diff = stamped.memory.diff_frames(&self.base);
-        let frames = jbits::expand_to_columns(&stamped.memory, diff);
-        drop(diff_span);
-        let _g = obs::span!("generate");
-        let runs = bitgen::coalesce_frames(frames);
-        let bits = bitgen::partial_bitstream(&stamped.memory, &runs);
-        let total_frames: usize = runs.iter().map(|r| r.len).sum();
-        drop(_g);
-        Ok(self.finish_partial(design, constraints, stamped, bits, total_frames))
-    }
-
     /// Shared front half of partial generation: validate the module,
     /// derive its configuration columns, erase them in a copy of the base
     /// and stamp the new module in with JBits calls. The returned image

@@ -167,7 +167,7 @@ fn model_sizes(spec: &FleetSimSpec) -> HashMap<(u32, u32), Resolved> {
             if spec.wire == WireFormat::Compressed {
                 // Per-key compression ratios (percent), calibrated from
                 // the real wire encoder on the Figure-4 library (see
-                // conformance `wire_smoke` / BENCH_wire_format.json):
+                // conformance's `fig4_compressed_wire_pushes_3x_fewer_bytes`):
                 // incrementals ship only dense dirty frames and compress
                 // 2.7-3.5x, while wholesales cover whole mostly-zero
                 // regions that RLE crushes 17-49x.

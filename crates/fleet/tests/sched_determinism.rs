@@ -5,7 +5,7 @@
 //! final residency, identical latency histograms, on any worker count.
 
 use fleet::sim::{simulate, FleetSimSpec, SimReport};
-use fleet::{OutcomeKind, Priority, WireFormat};
+use fleet::{OutcomeKind, Priority, VerifyPolicy, WireFormat};
 
 fn spec() -> FleetSimSpec {
     FleetSimSpec {
@@ -30,7 +30,7 @@ fn run_with_workers(workers: usize) -> SimReport {
 }
 
 /// Everything the spec promises to hold fixed across worker counts.
-fn fingerprint(r: &SimReport) -> (usize, u64, u64, u64, u64, u64, u64, u64) {
+fn fingerprint(r: &SimReport) -> (usize, u64, u64, u64, u64, u64, u64, u64, [u64; 3]) {
     (
         r.outcomes.len(),
         r.served,
@@ -40,14 +40,23 @@ fn fingerprint(r: &SimReport) -> (usize, u64, u64, u64, u64, u64, u64, u64) {
         r.retries,
         r.download_bytes,
         r.completed.ns(),
+        [r.migrations, r.migration_retries, r.frag_final],
     )
 }
 
-#[test]
-fn identical_results_at_1_2_and_8_workers() {
-    let base = run_with_workers(1);
+/// Run `spec` at 1, 2 and 8 workers and assert identical totals,
+/// per-request outcomes, final residency, event logs and metric
+/// snapshots. Returns the one-worker report.
+fn identical_at_1_2_and_8_workers(spec: &FleetSimSpec) -> SimReport {
+    let run = |workers| {
+        simulate(&FleetSimSpec {
+            workers,
+            ..spec.clone()
+        })
+    };
+    let base = run(1);
     for workers in [2, 8] {
-        let other = run_with_workers(workers);
+        let other = run(workers);
         assert_eq!(
             fingerprint(&base),
             fingerprint(&other),
@@ -73,6 +82,12 @@ fn identical_results_at_1_2_and_8_workers() {
             "metric snapshot diverged at {workers} workers"
         );
     }
+    base
+}
+
+#[test]
+fn identical_results_at_1_2_and_8_workers() {
+    identical_at_1_2_and_8_workers(&spec());
 }
 
 /// The defragmenter's migrations are ordinary scheduler events, so the
@@ -81,29 +96,93 @@ fn identical_results_at_1_2_and_8_workers() {
 /// metric snapshots at 1, 2 and 8 workers.
 #[test]
 fn defrag_runs_are_identical_across_worker_counts() {
-    let defrag_spec = |workers| FleetSimSpec {
+    let base = identical_at_1_2_and_8_workers(&FleetSimSpec {
         defrag: true,
-        workers,
         ..spec()
-    };
-    let base = simulate(&defrag_spec(1));
+    });
     assert!(base.migrations > 0, "fragmented layout must migrate");
     assert!(base.frag_initial > 0);
     assert_eq!(base.frag_final, 0, "idle windows fully compact the fleet");
     assert_eq!(base.served, 3_000, "defrag never costs a request");
-    for workers in [2, 8] {
-        let other = simulate(&defrag_spec(workers));
-        assert_eq!(
-            base.event_log, other.event_log,
-            "defrag event log diverged at {workers} workers"
-        );
-        assert_eq!(base.outcomes, other.outcomes);
-        assert_eq!(base.snapshot, other.snapshot);
-        assert_eq!(
-            (base.migrations, base.migration_retries, base.frag_final),
-            (other.migrations, other.migration_retries, other.frag_final),
-        );
+}
+
+/// The sweep the three settings below share: 48 boards in 12 shards
+/// serve 2 000 requests under 10% port faults.
+fn sweep(seed: u64) -> FleetSimSpec {
+    FleetSimSpec {
+        boards: 48,
+        shards: 12,
+        requests: 2_000,
+        regions: 3,
+        variants: 5,
+        fault_rate: 0.10,
+        log_events: true,
+        seed,
+        ..FleetSimSpec::default()
     }
+}
+
+#[test]
+fn defrag_sweep_compacts_and_serves_everything() {
+    let base = identical_at_1_2_and_8_workers(&FleetSimSpec {
+        defrag: true,
+        ..sweep(0xDE_F2A6)
+    });
+    assert!(base.frag_initial > 0, "scattered layout starts fragmented");
+    assert_eq!(base.frag_final, 0, "fleet must compact");
+    assert!(base.migrations > 0);
+    assert_eq!(base.served, 2_000, "defrag must not cost a request");
+}
+
+/// The modelled compressed-wire traffic stays in calibration with the
+/// real Figure-4 gate's 3x floor (conformance's
+/// `fig4_compressed_wire_pushes_3x_fewer_bytes`).
+#[test]
+fn compressed_wire_sweep_models_3x_fewer_bytes() {
+    let compressed = FleetSimSpec {
+        wire: WireFormat::Compressed,
+        ..sweep(0x31BE)
+    };
+    let base = identical_at_1_2_and_8_workers(&compressed);
+    assert_eq!(base.served, 2_000);
+    let plain = simulate(&FleetSimSpec {
+        wire: WireFormat::Plain,
+        ..compressed
+    });
+    assert!(base.download_bytes * 3 <= plain.download_bytes);
+    assert_eq!(
+        (plain.download_bytes, base.download_bytes),
+        (8_415_302, 703_631)
+    );
+}
+
+/// The modelled adaptive-verify readback stays in calibration with the
+/// real Figure-4 gate's 10x floor (conformance's
+/// `fig4_adaptive_verify_pulls_10x_fewer_readback_bytes`). The
+/// calibration runs at plain wire and zero faults: compressed wire
+/// already shrinks the raw reply, and under faults retries are
+/// legitimately re-verified raw.
+#[test]
+fn adaptive_verify_sweep_models_8x_fewer_readback_bytes() {
+    let adaptive = FleetSimSpec {
+        wire: WireFormat::Compressed,
+        verify: VerifyPolicy::Adaptive,
+        ..sweep(0x5A7E)
+    };
+    assert_eq!(identical_at_1_2_and_8_workers(&adaptive).served, 2_000);
+    let clean = |verify| {
+        simulate(&FleetSimSpec {
+            wire: WireFormat::Plain,
+            fault_rate: 0.0,
+            log_events: false,
+            verify,
+            ..adaptive.clone()
+        })
+        .readback_bytes
+    };
+    let (full, digest) = (clean(VerifyPolicy::Full), clean(VerifyPolicy::Adaptive));
+    assert!(digest * 8 <= full, "{full} -> {digest} readback bytes");
+    assert_eq!((full, digest), (13_503_833, 424_462));
 }
 
 /// Tracing is an observer, not a participant: with per-request span
