@@ -12,7 +12,6 @@
 
 use jbits::Jbits;
 use jpg::workflow::{module_constraints, ModuleSpec, RegionSpec};
-use rayon::prelude::*;
 use std::time::{Duration, Instant};
 use virtex::Device;
 
@@ -51,9 +50,9 @@ pub fn combinations(counts: &[usize]) -> Vec<Vec<usize>> {
 }
 
 /// Run the conventional flow for every combination of region variants.
-/// Combinations run in parallel (Rayon); the reported flow time is the
-/// *sum* of per-combination times, i.e. the total tool work the paper
-/// counts.
+/// Combinations run in parallel ([`jpg::par_map`]); the reported flow
+/// time is the *sum* of per-combination times, i.e. the total tool work
+/// the paper counts.
 pub fn full_flow_all_combinations(
     device: Device,
     regions: &[RegionSpec],
@@ -62,9 +61,8 @@ pub fn full_flow_all_combinations(
     let counts: Vec<usize> = regions.iter().map(|r| r.variants.len()).collect();
     let combos = combinations(&counts);
 
-    let results: Result<Vec<(Duration, usize)>, String> = combos
-        .par_iter()
-        .map(|combo| {
+    let results: Result<Vec<(Duration, usize)>, String> =
+        jpg::par_map(&combos, jpg::available_threads(), |combo| {
             let t0 = Instant::now();
             // Build the module list for this combination and run the
             // whole-design flow (each module still floorplanned, as the
@@ -92,6 +90,7 @@ pub fn full_flow_all_combinations(
             let bits = jb.full_bitstream();
             Ok((t0.elapsed(), bits.byte_len()))
         })
+        .into_iter()
         .collect();
     let results = results?;
 

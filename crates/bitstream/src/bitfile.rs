@@ -4,14 +4,13 @@
 //! base design's complete bitstream".
 
 use crate::writer::Bitstream;
-use serde::{Deserialize, Serialize};
 use virtex::Device;
 
 /// File magic for the container.
 pub const MAGIC: &[u8; 4] = b"JBIT";
 
 /// A bitstream file with its design header.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BitFile {
     /// Design name (the NCD name in real files).
     pub design: String,

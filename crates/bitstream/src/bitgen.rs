@@ -15,14 +15,13 @@
 
 use crate::regs::{Command, Register};
 use crate::writer::{Bitstream, BitstreamWriter};
-use serde::{Deserialize, Serialize};
 use virtex::{BlockType, ConfigGeometry, ConfigMemory};
 
 /// Default configuration-options word written to `COR`.
 pub const DEFAULT_COR: u32 = 0x0000_3FE5;
 
 /// A contiguous run of frames in linear frame-index order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrameRange {
     /// First frame (linear index).
     pub start: usize,

@@ -7,7 +7,6 @@
 //! `FDRI` write of a full configuration).
 
 use crate::regs::Register;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The synchronization word that arms the packet processor.
@@ -16,7 +15,7 @@ pub const SYNC_WORD: u32 = 0xAA99_5566;
 pub const DUMMY_WORD: u32 = 0xFFFF_FFFF;
 
 /// Packet opcode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Op {
     /// No operation (header only).
     Nop,
@@ -46,7 +45,7 @@ impl Op {
 }
 
 /// A decoded packet header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Packet {
     /// Type-1: op + register + 11-bit count.
     Type1 {

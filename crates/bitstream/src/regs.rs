@@ -1,11 +1,10 @@
 //! Configuration registers and the command set, per the Virtex
 //! configuration architecture.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A configuration register, addressed by type-1 packet headers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Register {
     /// CRC check register: writing compares against the running CRC.
     Crc,
@@ -96,7 +95,7 @@ impl fmt::Display for Register {
 }
 
 /// Commands written to the `CMD` register.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Command {
     /// No operation.
     Null,

@@ -3,11 +3,10 @@
 use crate::crc::{crc_covered, Crc16};
 use crate::packet::{Packet, DUMMY_WORD, SYNC_WORD, TYPE1_MAX_COUNT};
 use crate::regs::{Command, Register};
-use serde::{Deserialize, Serialize};
 
 /// A complete or partial configuration bitstream: the raw 32-bit word
 /// sequence, dummy/sync words included.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Bitstream {
     words: Vec<u32>,
 }

@@ -9,15 +9,14 @@
 //! input, matching the slice structure (LUT → FF).
 
 use crate::netlist::{Driver, GateKind, Netlist, SignalId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A net in the mapped netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NetId(pub u32);
 
 /// Port direction of an I/O cell.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PortDir {
     /// Into the fabric.
     Input,
@@ -26,7 +25,7 @@ pub enum PortDir {
 }
 
 /// A LUT cell, optionally followed by a flip-flop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LutCell {
     /// Cell name (derived from the signal it computes).
     pub name: String,
@@ -42,7 +41,7 @@ pub struct LutCell {
 }
 
 /// An I/O cell: one port pad.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IoCell {
     /// Port name.
     pub name: String,
@@ -53,7 +52,7 @@ pub struct IoCell {
 }
 
 /// The mapped netlist: LUT/FF cells, I/O cells, and nets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MappedNetlist {
     /// Module name.
     pub name: String,

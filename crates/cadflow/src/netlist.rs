@@ -5,15 +5,14 @@
 //! All flip-flops share the single global clock (the paper's designs are
 //! synchronous single-clock modules).
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// A signal (net) in the logical netlist.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SignalId(pub u32);
 
 /// Gate kinds. Two-input gates take `(a, b)`; `Not`/`Buf` take `a` only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GateKind {
     /// Logical AND.
     And,
@@ -31,7 +30,7 @@ pub enum GateKind {
 }
 
 /// One gate: kind, inputs, output signal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Gate {
     /// Operation.
     pub kind: GateKind,
@@ -46,7 +45,7 @@ pub struct Gate {
 }
 
 /// A D flip-flop on the global clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dff {
     /// Data input.
     pub d: SignalId,
@@ -57,7 +56,7 @@ pub struct Dff {
 }
 
 /// How a signal is produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Driver {
     /// Primary input port.
     Input,
@@ -70,7 +69,7 @@ pub enum Driver {
 }
 
 /// The netlist.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Netlist {
     /// Module name.
     pub name: String,

@@ -18,7 +18,9 @@
 //! * [`workflow`] — the two-phase methodology around the tool (§3.1,
 //!   §3.2): Phase 1 builds the floorplanned base design, Phase 2
 //!   re-implements single modules with guided placement and hands their
-//!   XDL/UCF to JPG.
+//!   XDL/UCF to JPG;
+//! * [`par`] — [`par_map`], the one fork-join primitive behind every
+//!   parallel stage in the workspace.
 //!
 //! ```
 //! use cadflow::gen;
@@ -52,6 +54,7 @@
 
 pub mod cache;
 pub mod floorplan;
+pub mod par;
 pub mod project;
 pub mod report;
 pub mod translate;
@@ -59,6 +62,7 @@ pub mod workflow;
 
 pub use cache::{frame_hash, FrameCache, FrameKey};
 pub use floorplan::render_floorplan;
+pub use par::{available_threads, par_map};
 pub use project::{JpgError, JpgProject, PartialResult};
 pub use translate::{apply_design, TranslateError, TranslateStats};
 pub use workflow::region_frame_ranges;

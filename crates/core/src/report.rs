@@ -249,14 +249,12 @@ fn run_traced(workload: Workload) -> Result<(usize, usize, usize, usize), String
     // XDL/UCF text (the paper's JPG input path, safe over any variant).
     // The CAD stages of different variants overlap across worker
     // threads; spans land in the shared collector regardless of thread.
-    use rayon::prelude::*;
     let jobs: Vec<(&RegionSpec, usize)> = regions
         .iter()
         .flat_map(|r| (1..r.variants.len()).map(move |vi| (r, vi)))
         .collect();
-    let generated: Vec<crate::project::PartialResult> = jobs
-        .par_iter()
-        .map(|&(r, vi)| {
+    let generated: Vec<crate::project::PartialResult> =
+        crate::par_map(&jobs, crate::available_threads(), |&(r, vi)| {
             let variant = implement_variant(&base, &r.prefix, &r.variants[vi], seed + vi as u64)
                 .map_err(|e| e.to_string())?;
             let constraints = Constraints::parse(&variant.ucf).map_err(|e| e.to_string())?;
@@ -267,6 +265,7 @@ fn run_traced(workload: Workload) -> Result<(usize, usize, usize, usize), String
                 .generate_partial(&variant.xdl, &variant.ucf)
                 .map_err(|e| e.to_string())
         })
+        .into_iter()
         .collect::<Result<_, String>>()?;
 
     // Phase 2b (serial, job order): push each partial to the single

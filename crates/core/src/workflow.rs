@@ -166,7 +166,7 @@ pub enum WorkflowError {
     Jpg {
         /// Module prefix.
         module: String,
-        /// Error text (JpgError is not `Send`-friendly across rayon).
+        /// The tool's error, rendered as text.
         message: String,
     },
 }
@@ -338,7 +338,7 @@ pub fn implement_variant(
 /// multiple partial bitstreams that are selected through a GUI interface
 /// and downloaded into the device").
 ///
-/// Variants are independent, so they run in parallel (Rayon).
+/// Variants are independent, so they run in parallel ([`crate::par_map`]).
 pub fn build_variant_library(
     base: &BaseDesign,
     prefix: &str,
@@ -417,7 +417,6 @@ pub fn build_library_pipelined(
     seed: u64,
     incremental: bool,
 ) -> Result<Vec<(String, String, crate::project::PartialResult)>, WorkflowError> {
-    use rayon::prelude::*;
     let project = crate::project::JpgProject::from_memory("library", base.memory.clone());
     // A variant's dirty frames all lie in its module's region columns or
     // the IOB edge columns (the pad frames of its ports), so only those
@@ -449,20 +448,20 @@ pub fn build_library_pipelined(
                 .map(move |(i, nl)| (cat.prefix, cons, i, nl))
         })
         .collect();
-    jobs.par_iter()
-        .map(|&(prefix, cons, i, nl)| {
-            let v = implement_variant(base, prefix, nl, seed ^ ((i as u64) << 8))?;
-            let partial = match &cache {
-                Some(cache) => project.generate_partial_incremental(&v.design, cons, cache),
-                None => project.generate_partial_from(&v.design, cons),
-            }
-            .map_err(|e| WorkflowError::Jpg {
-                module: prefix.to_string(),
-                message: e.to_string(),
-            })?;
-            Ok((prefix.to_string(), nl.name.clone(), partial))
-        })
-        .collect()
+    crate::par_map(jobs, crate::available_threads(), |(prefix, cons, i, nl)| {
+        let v = implement_variant(base, prefix, nl, seed ^ ((i as u64) << 8))?;
+        let partial = match &cache {
+            Some(cache) => project.generate_partial_incremental(&v.design, cons, cache),
+            None => project.generate_partial_from(&v.design, cons),
+        }
+        .map_err(|e| WorkflowError::Jpg {
+            module: prefix.to_string(),
+            message: e.to_string(),
+        })?;
+        Ok((prefix.to_string(), nl.name.clone(), partial))
+    })
+    .into_iter()
+    .collect()
 }
 
 fn region_of(base: &BaseDesign, prefix: &str) -> Rect {

@@ -203,19 +203,18 @@ impl ServingLibrary {
     /// number of entries actually generated (already-stored ones are
     /// skipped by the store's once-per-epoch discipline).
     pub fn warm(&self) -> Result<usize, FleetError> {
-        use rayon::prelude::*;
         let jobs: Vec<(usize, usize)> = self
             .regions
             .iter()
             .enumerate()
             .flat_map(|(r, cat)| (0..cat.variants.len()).map(move |v| (r, v)))
             .collect();
-        let generated: Vec<usize> = jobs
-            .par_iter()
-            .map(|&(region, variant)| {
+        let generated: Vec<usize> =
+            jpg::par_map(jobs, jpg::available_threads(), |(region, variant)| {
                 let (result, hit) = self.resolve(region, variant);
                 result.map(|_| usize::from(!hit))
             })
+            .into_iter()
             .collect::<Result<_, FleetError>>()?;
         Ok(generated.iter().sum())
     }

@@ -19,10 +19,11 @@
 //! Wall-clock parallelism comes from *windowed* execution: the driver
 //! finds the earliest pending event across all shards, opens a window
 //! `[next, next + window)`, and hands every shard with work in that
-//! window to a worker pool. Shards never touch each other's state, so
-//! which worker runs which shard (and in what wall order) cannot change
-//! any virtual outcome — running with 1, 2, or 8 workers produces
-//! byte-identical event logs. Between windows the driver runs a
+//! window to [`jpg::par_map`], which runs them on up to `workers` scoped
+//! threads. Shards never touch each other's state, so which worker runs
+//! which shard (and in what wall order) cannot change any virtual
+//! outcome — running with 1, 2, or 8 workers produces byte-identical
+//! event logs. Between windows the driver runs a
 //! **sequential rebalance**: shards with queued work donate requests to
 //! shards with idle boards (virtual-time work stealing). Because the
 //! barrier is sequential and its inputs are deterministic shard states,
@@ -52,8 +53,6 @@ use crate::FleetError;
 use obs::trace::{json_string, FieldValue, ShardTracer, Trace, TraceSpan, TRACE_RING_CAPACITY};
 use reloc::{SlotMap, SlotMove};
 use std::collections::{BTreeSet, HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Which bitstream the fleet downloads per swap.
@@ -1592,7 +1591,7 @@ fn fullswap_key(resident: &[Resident]) -> Option<(u32, u32)> {
 /// barrier with every shard quiescent, so it is deterministic by
 /// construction — wall-clock work stealing (workers pulling whole-shard
 /// tasks) never touches virtual state.
-fn rebalance<B: Backend>(shards: &mut [Mutex<Shard<B>>], end: Vt, m: &FleetMetrics) -> u64 {
+fn rebalance<B: Backend>(shards: &mut [Shard<B>], end: Vt, m: &FleetMetrics) -> u64 {
     let mut moved = 0u64;
     loop {
         // Donor: deepest backlog among shards with *no* idle boards —
@@ -1601,8 +1600,7 @@ fn rebalance<B: Backend>(shards: &mut [Mutex<Shard<B>>], end: Vt, m: &FleetMetri
         // shards would trade the same request forever. Lowest shard id
         // among ties.
         let mut donor: Option<(usize, usize)> = None; // (queued, idx)
-        for (i, s) in shards.iter_mut().enumerate() {
-            let s = s.get_mut().expect("shard lock");
+        for (i, s) in shards.iter().enumerate() {
             if s.idle.is_empty() && s.queued > 0 && donor.is_none_or(|(q, _)| s.queued > q) {
                 donor = Some((s.queued, i));
             }
@@ -1612,17 +1610,14 @@ fn rebalance<B: Backend>(shards: &mut [Mutex<Shard<B>>], end: Vt, m: &FleetMetri
         // A donor has no idle boards, so it can never receive: every
         // steal strictly consumes receiver capacity and the loop
         // terminates.
-        let Some(ri) = shards.iter_mut().position(|s| {
-            let s = s.get_mut().expect("shard lock");
-            s.idle.len() > s.queued
-        }) else {
+        let Some(ri) = shards.iter().position(|s| s.idle.len() > s.queued) else {
             break;
         };
         debug_assert_ne!(ri, di, "a donor shard cannot also be a receiver");
         // Steal from the back of the donor's lowest-priority class:
         // the least urgent work migrates.
         let (q, class, id) = {
-            let d = shards[di].get_mut().expect("shard lock");
+            let d = &mut shards[di];
             let class = (0..3)
                 .rev()
                 .find(|&c| !d.queues[c].is_empty())
@@ -1638,7 +1633,7 @@ fn rebalance<B: Backend>(shards: &mut [Mutex<Shard<B>>], end: Vt, m: &FleetMetri
             (q, class, id)
         };
         {
-            let r = shards[ri].get_mut().expect("shard lock");
+            let r = &mut shards[ri];
             r.queues[class].push_back(q);
             r.queued += 1;
             r.queue_high = r.queue_high.max(r.queued);
@@ -1674,7 +1669,7 @@ pub fn run<B: Backend>(
     assert_eq!(nboards, resident.len(), "one residency vector per board");
     let nshards = cfg.shards.clamp(1, nboards);
     let workers = match cfg.workers {
-        0 => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        0 => jpg::available_threads(),
         w => w,
     }
     .clamp(1, nshards);
@@ -1743,49 +1738,15 @@ pub fn run<B: Backend>(
         shards[i % nshards].events.push(at, Ev::Arrive(req));
     }
 
-    let mut shards: Vec<Mutex<Shard<B>>> = shards.into_iter().map(Mutex::new).collect();
     let mut stolen = 0u64;
     loop {
-        let next = shards
-            .iter_mut()
-            .filter_map(|s| s.get_mut().expect("shard lock").events.peek_at())
-            .min();
+        let next = shards.iter().filter_map(|s| s.events.peek_at()).min();
         let Some(next) = next else { break };
         let end = next.after_ns(window_ns);
-        let tasks: Vec<usize> = (0..shards.len())
-            .filter(|&i| {
-                shards[i]
-                    .get_mut()
-                    .expect("shard lock")
-                    .events
-                    .peek_at()
-                    .is_some_and(|at| at < end)
-            })
-            .collect();
-        if workers == 1 || tasks.len() == 1 {
-            for &i in &tasks {
-                shards[i]
-                    .get_mut()
-                    .expect("shard lock")
-                    .run_until(backend, metrics, end);
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let shards_ref = &shards;
-            let tasks_ref = &tasks;
-            std::thread::scope(|scope| {
-                for _ in 0..workers.min(tasks.len()) {
-                    scope.spawn(|| loop {
-                        let k = cursor.fetch_add(1, Ordering::SeqCst);
-                        let Some(&i) = tasks_ref.get(k) else { break };
-                        shards_ref[i]
-                            .lock()
-                            .expect("shard lock")
-                            .run_until(backend, metrics, end);
-                    });
-                }
-            });
-        }
+        let busy = shards
+            .iter_mut()
+            .filter(|s| s.events.peek_at().is_some_and(|at| at < end));
+        jpg::par_map(busy, workers, |s| s.run_until(backend, metrics, end));
         stolen += rebalance(&mut shards, end, metrics);
     }
 
@@ -1804,7 +1765,6 @@ pub fn run<B: Backend>(
     let mut pm = Vec::new();
     let mut peak_buffer_words = 0u64;
     for (sid, shard) in shards.into_iter().enumerate() {
-        let shard = shard.into_inner().expect("shard lock");
         debug_assert!(shard.queued == 0, "drained scheduler left queued work");
         debug_assert!(
             shard.boards.iter().all(|b| b.job.is_none()),

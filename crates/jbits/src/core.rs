@@ -11,14 +11,13 @@
 //! partial bitstreams a decade before the vendor tools supported them.
 
 use crate::api::Jbits;
-use serde::{Deserialize, Serialize};
 use std::ops::RangeInclusive;
 use virtex::{
     ClbResource, Device, IobResource, Pip, ResourceValue, TileCoord, TileKind, Wire, WireKind,
 };
 
 /// One captured configuration item, tile-relative.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum CoreOp {
     /// A slice resource value at a CLB tile.
     Slice {
@@ -52,7 +51,7 @@ pub enum CoreOp {
 }
 
 /// A relocatable core.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RtpCore {
     /// Device family member the core was extracted from.
     pub device: Device,

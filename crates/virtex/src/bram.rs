@@ -15,7 +15,6 @@
 
 use crate::config::{BlockType, ConfigGeometry};
 use crate::family::Device;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 pub use crate::config::Side;
@@ -24,7 +23,7 @@ pub use crate::config::Side;
 pub const BRAM_BITS: usize = 4096;
 
 /// A block-RAM site: side of the die plus index from the top.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BramCoord {
     /// Left or right content column.
     pub side: Side,

@@ -7,7 +7,6 @@
 
 use crate::config::{ConfigGeometry, FrameAddress};
 use crate::family::Device;
-use serde::{Deserialize, Serialize};
 
 /// A full configuration-memory image for one device.
 ///
@@ -28,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// word is non-zero). On large devices where stamping touches a handful
 /// of columns, iteration and reset walk the summary and skip runs of
 /// clean chunks without loading them.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ConfigMemory {
     geometry: ConfigGeometry,
     /// `total_frames * frame_words` words, frame-major.

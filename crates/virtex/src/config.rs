@@ -21,7 +21,6 @@
 //! top/bottom IOB rows.
 
 use crate::family::Device;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Frames in the center clock column.
@@ -38,7 +37,7 @@ pub const BRAM_CONTENT_FRAMES: usize = 64;
 pub const BITS_PER_ROW: usize = 18;
 
 /// The three Virtex configuration block types.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum BlockType {
     /// CLB address space: clock, CLB and IOB columns.
     Clb,
@@ -70,7 +69,7 @@ impl BlockType {
 }
 
 /// What a configuration column configures.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ColumnKind {
     /// The center global-clock column.
     Clock,
@@ -86,7 +85,7 @@ pub enum ColumnKind {
 }
 
 /// Left or right half of the die.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Side {
     /// Right half (configured first: odd majors).
     Right,
@@ -96,7 +95,7 @@ pub enum Side {
 
 /// One configuration column: a contiguous run of frames sharing a
 /// `(block, major)` pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ConfigColumn {
     /// What this column configures.
     pub kind: ColumnKind,
@@ -122,7 +121,7 @@ impl ConfigColumn {
 }
 
 /// A fully qualified frame address: `(block, major, minor)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct FrameAddress {
     /// Block type.
     pub block: BlockType,
@@ -167,7 +166,7 @@ impl fmt::Display for FrameAddress {
 
 /// The complete configuration geometry of one device: the ordered column
 /// list plus the frame length.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigGeometry {
     device: Device,
     columns: Vec<ConfigColumn>,

@@ -4,12 +4,11 @@
 //! Each CLB holds two slices; each slice holds two 4-input LUTs and two
 //! flip-flops, so a device has `rows * cols * 4` LUT/FF pairs.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// A member of the Virtex (XCV) device family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum Device {
     XCV50,
@@ -25,7 +24,7 @@ pub enum Device {
 
 /// Static geometry of one device: the logic-fabric dimensions from which all
 /// configuration sizes are derived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Geometry {
     /// Number of CLB rows in the array.
     pub clb_rows: usize,

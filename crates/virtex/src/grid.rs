@@ -8,11 +8,10 @@
 //! column `clb_cols` (right).
 
 use crate::family::Device;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One of the two slices in a CLB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SliceId {
     /// Slice 0 (the `.S0` site).
     S0,
@@ -43,7 +42,7 @@ impl SliceId {
 }
 
 /// What occupies a grid position.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TileKind {
     /// A configurable logic block (two slices).
     Clb,
@@ -63,7 +62,7 @@ pub enum TileKind {
 
 /// A tile position. CLBs sit at `0..rows × 0..cols`; the IOB ring uses
 /// row/column −1 and `rows`/`cols`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TileCoord {
     /// Row, top = 0. IOB ring uses −1 and `clb_rows`.
     pub row: i32,
@@ -124,7 +123,7 @@ impl fmt::Display for TileCoord {
 }
 
 /// A slice site: CLB tile plus slice index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SliceCoord {
     /// The CLB tile.
     pub tile: TileCoord,
@@ -173,7 +172,7 @@ impl fmt::Display for SliceCoord {
 }
 
 /// An IOB site: IOB ring tile plus pad index.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct IobCoord {
     /// The IOB ring tile.
     pub tile: TileCoord,
@@ -209,9 +208,9 @@ impl IobCoord {
         }
         let rc = rc.strip_prefix('R')?;
         let (row, col) = rc.split_once('C')?;
-        let row: i32 = row.parse().ok()?;
-        let col: i32 = col.parse().ok()?;
-        Some(IobCoord::new(TileCoord::new(row - 1, col - 1), pad))
+        let row = row.parse::<i32>().ok()?.checked_sub(1)?;
+        let col = col.parse::<i32>().ok()?.checked_sub(1)?;
+        Some(IobCoord::new(TileCoord::new(row, col), pad))
     }
 }
 
@@ -300,6 +299,10 @@ mod tests {
         assert!(IobCoord::parse_site_name(&format!("IOB_R0C6.P{last}")).is_some());
         for pad in [last + 1, 9, 200, 255] {
             assert_eq!(IobCoord::parse_site_name(&format!("IOB_R0C6.P{pad}")), None);
+        }
+        // Names are 1-based, so row or column i32::MIN names no tile.
+        for name in ["IOB_R-2147483648C1.P0", "IOB_R1C-2147483648.P0"] {
+            assert_eq!(IobCoord::parse_site_name(name), None, "{name}");
         }
     }
 

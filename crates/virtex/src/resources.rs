@@ -9,11 +9,10 @@
 //! configuration frames.
 
 use crate::grid::SliceId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The two 4-input lookup tables in a slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum LutId {
     /// The F LUT (drives X / XQ).
     F,
@@ -44,7 +43,7 @@ impl fmt::Display for LutId {
 }
 
 /// Generic multiplexer/attribute settings, shared by several resources.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MuxSetting {
     /// The mux is off / the attribute is at its default.
     Off,
@@ -80,7 +79,7 @@ impl MuxSetting {
 }
 
 /// A configurable setting within one slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SliceResource {
     /// 16-bit truth table of a LUT. Bit `i` is the output for input
     /// pattern `i` (`F1` = LSB of the pattern).
@@ -190,7 +189,7 @@ impl SliceResource {
 
 /// A slice resource qualified by which slice it lives in: the unit of
 /// JBits `set`/`get` calls for logic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ClbResource {
     /// Which slice of the CLB.
     pub slice: SliceId,
@@ -225,7 +224,7 @@ impl ClbResource {
 }
 
 /// A configurable setting within one IOB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IobResource {
     /// Input path enabled, 1 bit.
     InputEnable,
@@ -264,7 +263,7 @@ impl IobResource {
 
 /// A resource value: an unsigned integer constrained to the resource's
 /// width. 16 bits (a LUT truth table) is the widest field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ResourceValue {
     bits: u32,
     width: usize,

@@ -50,7 +50,6 @@
 
 use crate::family::Device;
 use crate::grid::{SliceId, TileCoord, TileKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 use std::sync::OnceLock;
@@ -74,7 +73,7 @@ pub const LONG_TAP_SPACING: i32 = 4;
 
 /// The four routing directions. `North` decreases the row index (row 0 is
 /// the top of the die).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Dir {
     /// Towards row 0.
     North,
@@ -143,7 +142,7 @@ impl Dir {
 }
 
 /// A logical pin of a slice.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 #[allow(missing_docs)]
 pub enum SlicePin {
     F1,
@@ -241,7 +240,7 @@ impl SlicePin {
 }
 
 /// The kind of a wire within (or anchored at) a tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum WireKind {
     /// A slice pin wire (CLB tiles only).
     SlicePin {
@@ -545,7 +544,7 @@ fn pip_tables() -> &'static [PipSuperset; 5] {
 }
 
 /// A wire: a kind anchored at a tile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Wire {
     /// Anchor tile (driving tile for singles/hexes; canonical anchor for
     /// longs and clocks).
@@ -585,7 +584,9 @@ impl Wire {
         let (loc, rest) = s.split_once('/')?;
         let loc = loc.strip_prefix('R')?;
         let (row, col) = loc.split_once('C')?;
-        let tile = TileCoord::new(row.parse::<i32>().ok()? - 1, col.parse::<i32>().ok()? - 1);
+        let row = row.parse::<i32>().ok()?.checked_sub(1)?;
+        let col = col.parse::<i32>().ok()?.checked_sub(1)?;
+        let tile = TileCoord::new(row, col);
         let kind = if let Some(rest) = rest.strip_prefix("OMUX") {
             WireKind::Omux(rest.parse().ok()?)
         } else if let Some(rest) = rest.strip_prefix("SINGLE_") {
@@ -641,7 +642,7 @@ impl fmt::Display for Wire {
 /// A programmable interconnect point: a switch that, when enabled, drives
 /// `to` from `from`. `loc` is the tile whose configuration frames hold the
 /// enable bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Pip {
     /// Tile owning the configuration bit.
     pub loc: TileCoord,
@@ -1185,6 +1186,10 @@ mod tests {
         for w in wires {
             assert!(g.wire_exists(w), "{w} should exist");
             assert_eq!(Wire::parse(&w.name()), Some(w), "roundtrip {w}");
+        }
+        // Names are 1-based, so row or column i32::MIN names no tile.
+        for name in ["R-2147483648C1/OMUX0", "R1C-2147483648/OMUX0"] {
+            assert_eq!(Wire::parse(name), None, "{name}");
         }
     }
 

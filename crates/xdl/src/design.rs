@@ -1,12 +1,11 @@
 //! The in-memory design database: the NCD equivalent that XDL text
 //! serializes.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use virtex::{Device, IobCoord, Pip, SliceCoord};
 
 /// What kind of primitive an instance occupies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum InstanceKind {
     /// A CLB slice (`"SLICE"` in XDL).
     Slice,
@@ -25,7 +24,7 @@ impl InstanceKind {
 }
 
 /// Where an instance sits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Placement {
     /// Not yet placed.
     Unplaced,
@@ -48,7 +47,7 @@ impl Placement {
 
 /// One `attr:logical_name:value` triple from a `cfg` string, e.g.
 /// `G:u1/C307:#LUT:D=(A1@A4)` or `CKINV::1`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CfgEntry {
     /// Physical attribute name (`CKINV`, `G`, `CEMUX`, …).
     pub attr: String,
@@ -87,7 +86,7 @@ impl CfgEntry {
 }
 
 /// A placed (or placeable) primitive instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// Hierarchical instance name, e.g. `u1/nrz`.
     pub name: String,
@@ -120,7 +119,7 @@ impl Instance {
 }
 
 /// A reference to an instance pin: `(instance name, pin name)`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PinRef {
     /// Instance name.
     pub inst: String,
@@ -139,7 +138,7 @@ impl PinRef {
 }
 
 /// Net classification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetKind {
     /// Ordinary signal net.
     Wire,
@@ -150,7 +149,7 @@ pub enum NetKind {
 }
 
 /// A net: one driver, any number of loads, and the PIPs of its route.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     /// Net name.
     pub name: String,
@@ -183,7 +182,7 @@ impl Net {
 }
 
 /// The design database: the in-memory NCD.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Design {
     /// Design name.
     pub name: String,

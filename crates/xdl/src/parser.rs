@@ -184,9 +184,11 @@ fn parse_tile(lex: &Lexer, w: &str) -> Result<TileCoord, ParseError> {
         .strip_prefix('R')
         .ok_or_else(|| lex.err("bad tile name"))?;
     let (r, c) = rc.split_once('C').ok_or_else(|| lex.err("bad tile name"))?;
-    let row: i32 = r.parse().map_err(|_| lex.err("bad tile row"))?;
-    let col: i32 = c.parse().map_err(|_| lex.err("bad tile column"))?;
-    Ok(TileCoord::new(row - 1, col - 1))
+    let row = r.parse::<i32>().ok().and_then(|r| r.checked_sub(1));
+    let col = c.parse::<i32>().ok().and_then(|c| c.checked_sub(1));
+    let row = row.ok_or_else(|| lex.err("bad tile row"))?;
+    let col = col.ok_or_else(|| lex.err("bad tile column"))?;
+    Ok(TileCoord::new(row, col))
 }
 
 /// Parse XDL text into a design database.
@@ -398,6 +400,16 @@ net "clk" clock , outpin "pad_clk" I , inpin "u1/nrz" CLK , ;
         let err = parse(bad).unwrap_err();
         assert_eq!(err.line, 2);
         assert!(err.message.contains("BOGUS"));
+        // A pip tile one below the 1-based range is an error, not an
+        // arithmetic overflow.
+        for (tile, what) in [("R-2147483648C1", "row"), ("R1C-2147483648", "column")] {
+            let bad = format!(
+                "design \"x\" XCV100 ;\nnet \"n\" ,\n  pip {tile} R1C1/OMUX0 -> R1C1/SINGLE_E1 ,\n  ;"
+            );
+            let err = parse(&bad).unwrap_err();
+            assert_eq!(err.line, 3, "{tile}");
+            assert!(err.message.contains(&format!("bad tile {what}")), "{err:?}");
+        }
     }
 
     #[test]

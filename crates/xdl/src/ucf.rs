@@ -14,13 +14,12 @@
 //! Instance patterns use `*` (any run) and `?` (one character) globs, as
 //! in the vendor tools.
 
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use virtex::{IobCoord, SliceCoord, TileCoord};
 
 /// An inclusive rectangle of CLB tiles: a floorplanning region.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Rect {
     /// Top row (0-based, inclusive).
     pub row0: i32,
@@ -103,7 +102,7 @@ fn parse_clb_corner(s: &str) -> Option<TileCoord> {
 }
 
 /// A `LOC` target.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum LocTarget {
     /// A slice site (`CLB_R3C23.S0`).
     Slice(SliceCoord),
@@ -167,7 +166,7 @@ impl fmt::Display for UcfError {
 impl std::error::Error for UcfError {}
 
 /// Parsed constraints.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Constraints {
     /// `INST pattern LOC = site`.
     pub inst_locs: Vec<(String, LocTarget)>,
@@ -446,5 +445,9 @@ TIMESPEC "TS_clk" = PERIOD "clk" 20 ns ;
     fn error_line_numbers() {
         let err = Constraints::parse("\n\nBOGUS \"x\" ;").unwrap_err();
         assert_eq!(err.line, 3);
+        let err =
+            Constraints::parse("\nNET \"clk\" LOC = \"IOB_R-2147483648C1.P0\" ;").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(err.message.contains("bad LOC target"), "{err:?}");
     }
 }
