@@ -166,8 +166,8 @@ pub enum WorkflowError {
     Jpg {
         /// Module prefix.
         module: String,
-        /// The tool's error, rendered as text.
-        message: String,
+        /// The tool's error.
+        error: crate::JpgError,
     },
 }
 
@@ -183,14 +183,23 @@ impl fmt::Display for WorkflowError {
                 "regions of {:?} and {:?} share columns",
                 modules.0, modules.1
             ),
-            WorkflowError::Jpg { module, message } => {
-                write!(f, "module {module:?}: {message}")
+            WorkflowError::Jpg { module, error } => {
+                write!(f, "module {module:?}: {error}")
             }
         }
     }
 }
 
-impl std::error::Error for WorkflowError {}
+impl std::error::Error for WorkflowError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            WorkflowError::Flow { error, .. } => Some(error),
+            WorkflowError::Translate(e) => Some(e),
+            WorkflowError::Jpg { error, .. } => Some(error),
+            WorkflowError::OverlappingRegions { .. } => None,
+        }
+    }
+}
 
 impl From<crate::translate::TranslateError> for WorkflowError {
     fn from(e: crate::translate::TranslateError) -> Self {
@@ -454,9 +463,9 @@ pub fn build_library_pipelined(
             Some(cache) => project.generate_partial_incremental(&v.design, cons, cache),
             None => project.generate_partial_from(&v.design, cons),
         }
-        .map_err(|e| WorkflowError::Jpg {
+        .map_err(|error| WorkflowError::Jpg {
             module: prefix.to_string(),
-            message: e.to_string(),
+            error,
         })?;
         Ok((prefix.to_string(), nl.name.clone(), partial))
     })
@@ -724,5 +733,57 @@ mod tests {
             assert!(w > 0, "{name}: no work recorded in the flow reports");
             assert!(a - b >= w, "{name}: grew by {} < {w}", a - b);
         }
+    }
+
+    #[test]
+    fn errors_keep_their_typed_cause_as_source() {
+        use crate::translate::TranslateError;
+        use std::error::Error;
+
+        // No small flow reaches a JPG rejection inside the library
+        // build, so the error is built as that build builds it.
+        let err = WorkflowError::Jpg {
+            module: "mod1/".into(),
+            error: crate::JpgError::EmptyModule,
+        };
+        assert_eq!(
+            err.to_string(),
+            "module \"mod1/\": module has no placed logic"
+        );
+        assert!(matches!(
+            err,
+            WorkflowError::Jpg {
+                error: crate::JpgError::EmptyModule,
+                ..
+            }
+        ));
+        let cause = err.source().expect("a JPG rejection has a cause");
+        assert!(matches!(
+            cause.downcast_ref::<crate::JpgError>(),
+            Some(crate::JpgError::EmptyModule)
+        ));
+
+        let unplaced = TranslateError::Unplaced {
+            instance: "mod1/q".into(),
+        };
+        let err = WorkflowError::from(unplaced.clone());
+        let cause = err.source().expect("a translate failure has a cause");
+        assert_eq!(cause.downcast_ref::<TranslateError>(), Some(&unplaced));
+        assert!(cause.source().is_none());
+
+        let err = WorkflowError::Flow {
+            module: "mod1/".into(),
+            error: FlowError::MappingMismatch { output: "q".into() },
+        };
+        let cause = err.source().expect("a flow failure has a cause");
+        assert!(matches!(
+            cause.downcast_ref::<FlowError>(),
+            Some(FlowError::MappingMismatch { output }) if output == "q"
+        ));
+
+        let err = WorkflowError::OverlappingRegions {
+            modules: ("mod1/".into(), "mod2/".into()),
+        };
+        assert!(err.source().is_none());
     }
 }
