@@ -160,15 +160,16 @@ proptest! {
 
     /// Worker count is invisible to virtual results even on randomized
     /// specs (the determinism suite pins one big scenario; this sweeps
-    /// many small ones).
+    /// many small ones). With up to 16 shards and 400 requests, the
+    /// 4-worker runs' larger windows start three and four threads.
     #[test]
     fn worker_count_never_changes_outcomes(
         seed in 0u64..1_000_000,
-        boards in 1usize..16,
-        requests in 1usize..150,
+        boards in 12usize..32,
+        requests in 1usize..400,
         fault_permille in 0u32..300,
     ) {
-        let mut spec = spec_from(seed, boards, 8, requests, fault_permille, usize::MAX, usize::MAX);
+        let mut spec = spec_from(seed, boards, 16, requests, fault_permille, usize::MAX, usize::MAX);
         spec.workers = 1;
         let a = simulate(&spec);
         spec.workers = 4;
