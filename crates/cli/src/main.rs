@@ -734,7 +734,7 @@ fn trace_cmd(args: &[String]) -> ExitCode {
             "{:<10} {:>8} {:>12} {:>12} {:>14} {:>12}",
             "stage", "count", "p50_ns", "p99_ns", "total_ns", "max_ns"
         );
-        for st in obs::trace::stage_breakdown(&spans) {
+        for st in obs::trace::stage_breakdown(spans.iter().map(|s| (s.stage.as_str(), s.dur_ns))) {
             println!(
                 "{:<10} {:>8} {:>12} {:>12} {:>14} {:>12}",
                 st.stage, st.count, st.p50_ns, st.p99_ns, st.total_ns, st.max_ns

@@ -151,17 +151,34 @@ fn report_command_prints_all_formats_and_passes_schema_check() {
     );
     assert!(stdout.contains("interp_packets_total "), "{stdout}");
 
+    // The JSONL dump is an `obs::trace` dump: it parses strictly, and
+    // `jpg-cli trace` breaks it down into every pipeline stage.
     let jsonl = Command::new(bin())
         .args(["report", "--workload", "smoke", "--format", "jsonl"])
         .output()
         .unwrap();
     assert!(jsonl.status.success());
     let stdout = String::from_utf8_lossy(&jsonl.stdout);
-    assert!(stdout.lines().count() > 5, "{stdout}");
-    assert!(
-        stdout.lines().all(|l| l.starts_with("{\"span\":\"")),
-        "{stdout}"
-    );
+    let spans = obs::trace::parse_jsonl_strict(&stdout).expect("report jsonl parses");
+    assert!(spans.len() > 5, "{stdout}");
+    let dir = tmpdir("report-jsonl");
+    let dump = dir.join("report.jsonl");
+    std::fs::write(&dump, stdout.as_bytes()).unwrap();
+    let traced = Command::new(bin())
+        .args(["trace", dump.to_str().unwrap()])
+        .output()
+        .unwrap();
+    let table = String::from_utf8_lossy(&traced.stdout);
+    assert!(traced.status.success(), "{table}");
+    for stage in jpg::report::STAGE_ORDER {
+        assert!(
+            table
+                .lines()
+                .any(|l| l.split_whitespace().next() == Some(stage)),
+            "stage {stage} missing from the trace breakdown:\n{table}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 
     // --repeat N aggregates stage medians over N runs.
     let repeated = Command::new(bin())
@@ -712,6 +729,20 @@ fn trace_rejects_empty_and_truncated_dumps_with_line_numbers() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("line 2"), "{stderr}");
     assert!(stderr.contains("truncated"), "{stderr}");
+
+    // A fields object torn after a multi-byte character is a typed
+    // error as well, not a panic.
+    let torn = dir.join("torn.jsonl");
+    let line = good.replace("\"fields\":{}}", "\"fields\":{\"k\":\"é}");
+    std::fs::write(&torn, format!("{good}\n{line}\n")).unwrap();
+    let out = Command::new(bin())
+        .args(["trace", torn.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert!(!out.status.success(), "torn dump must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("line 2"), "{stderr}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -1,7 +1,10 @@
 //! The engine behind `jpg-cli report`: run a Figure-4-style workload
 //! through the full pipeline — parse, translate, diff, generate,
-//! download, verify — with span tracing and the metric registry live,
-//! then render the per-stage breakdown and metric snapshot.
+//! download, verify — inside [`obs::collect`] with the metric registry
+//! live, then render the per-stage breakdown and metric snapshot. The
+//! stage table is a trace analysis: the same
+//! [`obs::trace::stage_breakdown`] that `jpg-cli trace` runs on a dump,
+//! over the collected spans.
 //!
 //! The workload mirrors the paper's evaluation scenario (§4.1,
 //! Figure 4): a multi-region base design on a Virtex part, a library of
@@ -13,7 +16,8 @@
 //! SelectMAP byte-cycle durations — the paper's argument is about port
 //! time, not host time. The board's re-decode of its fabric after each
 //! download is host work and shows as its own wall-clock
-//! `fabric_decode` stage.
+//! `fabric_decode` stage. Each span's `clock` field (`host` or `port`)
+//! says which clock it ran on.
 
 use crate::cache::FrameCache;
 use crate::project::JpgProject;
@@ -24,6 +28,7 @@ use cadflow::gen;
 use jbits::Xhwif;
 use simboard::port::download_time;
 use simboard::SimBoard;
+use std::time::Duration;
 use virtex::Device;
 use xdl::{Constraints, Rect};
 
@@ -58,8 +63,8 @@ pub const REQUIRED_METRICS: &[&str] = &[
 ];
 
 /// The canonical pipeline order for the stage table; spans outside this
-/// list (bitgen internals, …) sort after, by first occurrence.
-const STAGE_ORDER: &[&str] = &[
+/// list (bitgen internals, …) sort after, heaviest first.
+pub const STAGE_ORDER: &[&str] = &[
     "parse",
     "translate",
     "diff",
@@ -125,9 +130,9 @@ pub struct Report {
     /// Per-stage aggregates, pipeline stages first. With repeats > 1,
     /// `count`/`total_ns` are per-run medians and `max_ns` the overall
     /// maximum.
-    pub stages: Vec<obs::SpanStat>,
-    /// Raw span events (for JSONL export).
-    pub spans: Vec<obs::SpanEvent>,
+    pub stages: Vec<obs::trace::StageStat>,
+    /// The collected spans (for JSONL export).
+    pub trace: obs::Trace,
     /// Snapshot of the global metric registry after the run.
     pub snapshot: obs::Snapshot,
     /// Partial bitstreams generated and downloaded.
@@ -142,25 +147,21 @@ pub struct Report {
 
 /// Run `workload` end to end with tracing live and collect the report.
 pub fn run(workload: Workload) -> Result<Report, String> {
-    let collector = std::sync::Arc::new(obs::VecCollector::new(1 << 17));
-    obs::set_collector(Some(collector.clone()));
-    let result = run_traced(workload);
-    obs::set_collector(None);
-    let spans = collector.take();
+    let (result, trace) = obs::collect(|| run_traced(workload));
     let (partials, full_bytes, partial_bytes, verify_failures) = result?;
 
-    let mut stats = obs::aggregate_spans(&spans);
-    stats.sort_by_key(|s| {
+    let mut stages = obs::trace::stage_breakdown(trace.spans.iter().map(|s| (s.stage, s.dur_ns)));
+    stages.sort_by_key(|s| {
         STAGE_ORDER
             .iter()
-            .position(|&n| n == s.name)
+            .position(|&n| n == s.stage)
             .unwrap_or(STAGE_ORDER.len())
     });
     Ok(Report {
         workload,
         repeats: 1,
-        stages: stats,
-        spans,
+        stages,
+        trace,
         snapshot: obs::global().snapshot(),
         partials,
         full_bytes,
@@ -191,7 +192,7 @@ pub fn run_repeated(workload: Workload, repeats: usize) -> Result<Report, String
         let mut totals: Vec<u64> = vec![stage.total_ns];
         let mut counts: Vec<u64> = vec![stage.count];
         for prior in &runs {
-            if let Some(p) = prior.stages.iter().find(|s| s.name == stage.name) {
+            if let Some(p) = prior.stages.iter().find(|s| s.stage == stage.stage) {
                 totals.push(p.total_ns);
                 counts.push(p.count);
                 stage.max_ns = stage.max_ns.max(p.max_ns);
@@ -310,10 +311,10 @@ fn run_traced(workload: Workload) -> Result<(usize, usize, usize, usize), String
                 }
             }
         }
-        obs::record_duration_with(
+        obs::record_duration(
             "verify",
             download_time(readback_bytes),
-            vec![("bytes", readback_bytes.to_string())],
+            &[("bytes", readback_bytes.into())],
         );
         if mismatch {
             verify_failures += 1;
@@ -350,7 +351,30 @@ pub fn render_table(report: &Report) -> String {
         report.verify_failures,
         runs,
     ));
-    out.push_str(&obs::span_table(&report.stages));
+    let width = report
+        .stages
+        .iter()
+        .map(|s| s.stage.len())
+        .max()
+        .unwrap_or(0)
+        .max("stage".len());
+    let row = |cells: [&str; 5]| {
+        format!(
+            "{:width$}  {:>6}  {:>12}  {:>12}  {:>12}\n",
+            cells[0], cells[1], cells[2], cells[3], cells[4]
+        )
+    };
+    let dur = |ns: u64| format!("{:?}", Duration::from_nanos(ns));
+    out.push_str(&row(["stage", "count", "total", "mean", "max"]));
+    for s in &report.stages {
+        out.push_str(&row([
+            &s.stage,
+            &s.count.to_string(),
+            &dur(s.total_ns),
+            &dur(s.mean_ns()),
+            &dur(s.max_ns),
+        ]));
+    }
     out.push('\n');
     out.push_str(&obs::table(&report.snapshot));
     out
@@ -365,7 +389,7 @@ pub fn render_json(report: &Report) -> String {
         .map(|s| {
             format!(
                 "{{\"stage\":\"{}\",\"count\":{},\"total_ns\":{},\"mean_ns\":{},\"max_ns\":{}}}",
-                s.name,
+                s.stage,
                 s.count,
                 s.total_ns,
                 s.mean_ns(),
@@ -391,9 +415,10 @@ pub fn render_prometheus(report: &Report) -> String {
     obs::prometheus(&report.snapshot)
 }
 
-/// JSONL export of the raw span events.
+/// JSONL export of the collected spans in the `obs::trace` schema, the
+/// format `jpg-cli trace` reads.
 pub fn render_jsonl(report: &Report) -> String {
-    obs::jsonl_spans(&report.spans)
+    report.trace.jsonl()
 }
 
 #[cfg(test)]
@@ -412,7 +437,7 @@ mod tests {
         assert!(report.mean_partial_bytes < report.full_bytes / 2);
         assert_eq!(missing_metrics(&report), Vec::<&str>::new());
         // All seven pipeline stages appear, in canonical order.
-        let names: Vec<&str> = report.stages.iter().map(|s| s.name).collect();
+        let names: Vec<&str> = report.stages.iter().map(|s| s.stage.as_str()).collect();
         let canonical: Vec<&str> = names
             .iter()
             .copied()
@@ -428,17 +453,24 @@ mod tests {
         assert!(json.contains("\"stage\":\"download\""));
         let prom = render_prometheus(&report);
         assert!(prom.contains("# TYPE bitgen_bytes_total counter"));
-        assert!(!render_jsonl(&report).is_empty());
+        let dump = obs::trace::parse_jsonl_strict(&render_jsonl(&report)).expect("jsonl parses");
+        assert_eq!(dump.len(), report.trace.spans.len());
+        assert!(dump
+            .iter()
+            .any(|s| s.stage == "download" && s.field("clock") == Some("port")));
+        assert!(dump
+            .iter()
+            .any(|s| s.stage == "generate" && s.field("clock") == Some("host")));
 
-        // Repeats ride in the same test: `run` swaps the global span
-        // collector, so engine runs must not overlap across test threads.
+        // Repeats ride in the same test, to keep the engine's runs in
+        // one place.
         let rep = run_repeated(Workload::Smoke, 3).expect("repeated smoke runs");
         assert_eq!(rep.repeats, 3);
         assert_eq!(rep.verify_failures, 0);
         let canonical: Vec<&str> = rep
             .stages
             .iter()
-            .map(|s| s.name)
+            .map(|s| s.stage.as_str())
             .filter(|n| STAGE_ORDER.contains(n))
             .collect();
         assert_eq!(canonical, STAGE_ORDER);

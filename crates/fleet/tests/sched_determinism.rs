@@ -88,6 +88,14 @@ fn identical_at_1_2_and_8_workers(spec: &FleetSimSpec) -> SimReport {
 #[test]
 fn identical_results_at_1_2_and_8_workers() {
     identical_at_1_2_and_8_workers(&spec());
+    // One shard per board under a 1 µs mean arrival gap: windows then
+    // hold enough busy shards (24 or more) that the 8-worker run starts
+    // all eight threads, not at most four as with 12 shards.
+    identical_at_1_2_and_8_workers(&FleetSimSpec {
+        shards: 48,
+        mean_gap_ns: 1_000,
+        ..spec()
+    });
 }
 
 /// The defragmenter's migrations are ordinary scheduler events, so the

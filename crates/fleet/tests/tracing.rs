@@ -159,7 +159,7 @@ fn soak_critical_path_identifies_dominant_p99_stage() {
 
     // The stage table covers every emitted stage and leads with the
     // heaviest by total time.
-    let stats = stage_breakdown(&spans);
+    let stats = stage_breakdown(spans.iter().map(|s| (s.stage.as_str(), s.dur_ns)));
     assert!(stats.iter().any(|s| s.stage == "download"));
     assert!(stats.iter().any(|s| s.stage == "queue"));
     assert!(stats.windows(2).all(|w| w[0].total_ns >= w[1].total_ns));

@@ -1,7 +1,7 @@
-//! Exporters: Prometheus text format, JSON snapshot, JSON-lines span
-//! events, and human-readable tables.
+//! Metric exporters: Prometheus text format, JSON snapshot, and a
+//! human-readable table. Spans export through [`crate::Trace`].
 //!
-//! All output is deterministic for a given [`Snapshot`]/event list:
+//! All output is deterministic for a given [`Snapshot`]:
 //! samples are already sorted by `(name, labels)`, JSON object keys are
 //! emitted in a fixed order, and label values are escaped — so exporter
 //! output can be golden-tested and diffed across runs.
@@ -12,7 +12,7 @@
 //! sums share a unit.
 
 use crate::registry::{Sample, Snapshot, Value};
-use crate::span::SpanEvent;
+use crate::trace::json_string;
 use std::fmt::Write as _;
 use std::time::Duration;
 
@@ -143,29 +143,10 @@ fn format_us(ns: u64) -> String {
     }
 }
 
-/// Escape a JSON string value.
-fn json_escape(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            _ => out.push(c),
-        }
-    }
-    out
-}
-
 fn json_labels(labels: &[(String, String)]) -> String {
     let parts: Vec<String> = labels
         .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
+        .map(|(k, v)| format!("{}:{}", json_string(k), json_string(v)))
         .collect();
     format!("{{{}}}", parts.join(","))
 }
@@ -177,8 +158,8 @@ fn json_u64s(v: &[u64]) -> String {
 
 fn json_sample(s: &Sample) -> String {
     let head = format!(
-        "{{\"name\":\"{}\",\"labels\":{}",
-        json_escape(&s.name),
+        "{{\"name\":{},\"labels\":{}",
+        json_string(&s.name),
         json_labels(&s.labels)
     );
     match &s.value {
@@ -208,30 +189,6 @@ fn json_sample(s: &Sample) -> String {
 pub fn snapshot_json(snap: &Snapshot) -> String {
     let parts: Vec<String> = snap.samples.iter().map(json_sample).collect();
     format!("{{\"samples\":[{}]}}", parts.join(","))
-}
-
-/// Render span events as JSON lines, one event per line, keys in fixed
-/// order: `span`, `start_ns`, `dur_ns`, `depth`, `thread`, `fields`.
-pub fn jsonl_spans(events: &[SpanEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        let fields: Vec<String> = e
-            .fields
-            .iter()
-            .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-            .collect();
-        let _ = writeln!(
-            out,
-            "{{\"span\":\"{}\",\"start_ns\":{},\"dur_ns\":{},\"depth\":{},\"thread\":{},\"fields\":{{{}}}}}",
-            json_escape(e.name),
-            e.start_ns,
-            e.dur_ns,
-            e.depth,
-            e.thread,
-            fields.join(",")
-        );
-    }
-    out
 }
 
 fn fmt_duration(ns: u64) -> String {
@@ -273,84 +230,6 @@ pub fn table(snap: &Snapshot) -> String {
     out
 }
 
-/// Per-stage aggregate over span events.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanStat {
-    /// Stage name.
-    pub name: &'static str,
-    /// Completed spans.
-    pub count: u64,
-    /// Summed duration, nanoseconds.
-    pub total_ns: u64,
-    /// Largest single span, nanoseconds.
-    pub max_ns: u64,
-}
-
-impl SpanStat {
-    /// Mean duration, zero when empty.
-    pub fn mean_ns(&self) -> u64 {
-        self.total_ns.checked_div(self.count).unwrap_or(0)
-    }
-}
-
-/// Aggregate events by span name, ordered by each name's earliest
-/// start (so a pipeline report reads in execution order).
-pub fn aggregate_spans(events: &[SpanEvent]) -> Vec<SpanStat> {
-    let mut order: Vec<(&'static str, u64)> = Vec::new();
-    let mut stats: std::collections::HashMap<&'static str, SpanStat> =
-        std::collections::HashMap::new();
-    for e in events {
-        let st = stats.entry(e.name).or_insert_with(|| {
-            order.push((e.name, e.start_ns));
-            SpanStat {
-                name: e.name,
-                count: 0,
-                total_ns: 0,
-                max_ns: 0,
-            }
-        });
-        st.count += 1;
-        st.total_ns += e.dur_ns;
-        st.max_ns = st.max_ns.max(e.dur_ns);
-        if let Some(slot) = order.iter_mut().find(|(n, _)| *n == e.name) {
-            slot.1 = slot.1.min(e.start_ns);
-        }
-    }
-    order.sort_by_key(|&(_, start)| start);
-    order
-        .into_iter()
-        .map(|(n, _)| stats.remove(n).expect("aggregated"))
-        .collect()
-}
-
-/// Render aggregated span stats as an aligned stage table.
-pub fn span_table(stats: &[SpanStat]) -> String {
-    let width = stats
-        .iter()
-        .map(|s| s.name.len())
-        .max()
-        .unwrap_or(0)
-        .max("stage".len());
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:width$}  {:>6}  {:>12}  {:>12}  {:>12}",
-        "stage", "count", "total", "mean", "max"
-    );
-    for s in stats {
-        let _ = writeln!(
-            out,
-            "{:width$}  {:>6}  {:>12}  {:>12}  {:>12}",
-            s.name,
-            s.count,
-            fmt_duration(s.total_ns),
-            fmt_duration(s.mean_ns()),
-            fmt_duration(s.max_ns)
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,8 +241,13 @@ mod tests {
 
     #[test]
     fn json_escaping() {
-        assert_eq!(json_escape("a\"b\\c\n\t"), "a\\\"b\\\\c\\n\\t");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        let r = crate::Registry::new();
+        r.counter("c", &[("k", "a\"b\\c\n\t\u{1}")]).inc();
+        let json = snapshot_json(&r.snapshot());
+        assert!(
+            json.contains(r#""labels":{"k":"a\"b\\c\n\t\u0001"}"#),
+            "{json}"
+        );
     }
 
     #[test]
@@ -372,33 +256,5 @@ mod tests {
         assert_eq!(format_us(2_000), "2");
         assert_eq!(format_us(1), "0.001");
         assert_eq!(format_us(0), "0");
-    }
-
-    #[test]
-    fn aggregate_orders_by_first_start() {
-        let ev = |name: &'static str, start_ns: u64, dur_ns: u64| SpanEvent {
-            name,
-            start_ns,
-            dur_ns,
-            depth: 0,
-            thread: 0,
-            fields: Vec::new(),
-        };
-        let stats = aggregate_spans(&[
-            ev("generate", 50, 10),
-            ev("parse", 10, 5),
-            ev("generate", 70, 30),
-            ev("parse", 5, 7),
-        ]);
-        assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].name, "parse");
-        assert_eq!(stats[0].count, 2);
-        assert_eq!(stats[0].total_ns, 12);
-        assert_eq!(stats[1].name, "generate");
-        assert_eq!(stats[1].max_ns, 30);
-        assert_eq!(stats[1].mean_ns(), 20);
-        let rendered = span_table(&stats);
-        assert!(rendered.contains("stage"));
-        assert!(rendered.contains("parse"));
     }
 }

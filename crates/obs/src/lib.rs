@@ -12,20 +12,23 @@
 //! * [`registry`] — named, labeled instruments in a [`Registry`]
 //!   (process-global via [`global`], or per-component) with
 //!   deterministic [`Snapshot`]s;
-//! * [`span`] — `obs::span!("stage")` RAII stage timers recording into
-//!   bounded per-thread ring buffers with a pluggable [`Collector`];
-//!   simulated durations (SelectMAP port time) enter via
-//!   [`record_duration`];
-//! * [`export`] — Prometheus text, JSON snapshot, JSONL span events,
-//!   and table renderers, all golden-test stable;
-//! * [`trace`] — deterministic causal request tracing over virtual
-//!   time ([`ShardTracer`] rings merged into a [`Trace`], Chrome
-//!   `trace_event`/JSONL exporters, critical-path analysis) and the
-//!   [`SloPolicy`]/[`SloReport`] error-budget engine.
+//! * [`mod@span`] — `obs::span!("stage")` RAII stage timers for host-clock
+//!   work and [`record_duration`] for modelled SelectMAP port time, both
+//!   recording [`TraceSpan`]s (tagged `clock=host` or `clock=port`, each
+//!   pointing at the span open on its thread as `parent`) while a
+//!   [`collect`] call is running, and nothing otherwise;
+//! * [`export`] — Prometheus text, JSON snapshot and table renderers
+//!   for metric snapshots, all golden-test stable;
+//! * [`trace`] — the one span type, [`TraceSpan`], and what reads it:
+//!   deterministic causal request tracing over virtual time
+//!   ([`ShardTracer`] rings merged into a [`Trace`]), Chrome
+//!   `trace_event`/JSONL exporters, the JSONL reader, the per-stage
+//!   breakdown and critical-path analysis that `jpg-cli trace` and
+//!   `jpg-cli report` share, and the [`SloPolicy`]/[`SloReport`]
+//!   error-budget engine.
 //!
-//! Span recording can be disabled at runtime ([`set_enabled`]) or
-//! compiled out entirely with the `obs-off` cargo feature; metric
-//! instruments stay live either way.
+//! The `obs-off` cargo feature compiles span recording out entirely;
+//! metric instruments stay live either way.
 
 pub mod export;
 pub mod metrics;
@@ -33,15 +36,10 @@ pub mod registry;
 pub mod span;
 pub mod trace;
 
-pub use export::{
-    aggregate_spans, jsonl_spans, prometheus, snapshot_json, span_table, table, SpanStat,
-};
+pub use export::{prometheus, snapshot_json, table};
 pub use metrics::{presets, Counter, Gauge, Histogram};
 pub use registry::{global, Registry, Sample, Snapshot, Value};
-pub use span::{
-    enabled, record_duration, record_duration_with, set_collector, set_enabled, take_thread_spans,
-    Collector, Span, SpanEvent, VecCollector, RING_CAPACITY,
-};
+pub use span::{collect, enabled, record_duration, Span};
 pub use trace::{
     FieldValue, ShardTracer, SloPolicy, SloReport, SloSample, Trace, TraceParseError, TraceSpan,
     TRACE_RING_CAPACITY,

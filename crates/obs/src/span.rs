@@ -1,318 +1,181 @@
-//! Lightweight span tracing: scoped stage timers recorded into a
-//! bounded per-thread ring buffer, with an optional process-wide
-//! [`Collector`].
+//! Wall-clock stage spans, recorded as [`TraceSpan`]s into a scoped
+//! collector.
 //!
-//! No external tracing crate: a [`Span`] is an RAII guard that notes the
-//! wall-clock on entry and records a [`SpanEvent`] on drop. Nesting
-//! depth is tracked per thread, so a collector can reconstruct the
-//! stage tree (`generate` containing `bitgen_partial`, and so on). For
-//! stages whose duration is *simulated* rather than measured — SelectMAP
-//! port time in `simboard`/`fleet` — [`record_duration`] emits an event
-//! with the model's duration directly.
+//! `obs::span!("stage")` is an RAII guard: it notes the host clock on
+//! entry and, on drop, records a [`TraceSpan`] tagged `clock=host`.
+//! Stages whose duration is *modelled* rather than measured —
+//! SelectMAP port time in `simboard` and the report's readback — enter
+//! through [`record_duration`], tagged `clock=port`. Each span takes a
+//! fresh id as its `trace` (and `seq`) and names the span open on its
+//! thread when it started as its `parent` (0 at top level), so the
+//! stage tree survives in the `obs::trace` schema.
 //!
-//! Two kill switches:
-//! * [`set_enabled`]`(false)` stops recording at runtime (one relaxed
-//!   atomic load per span);
-//! * the `obs-off` cargo feature compiles every span to a no-op, for
-//!   builds that must prove instrumentation costs nothing.
+//! Spans record only inside [`collect`]. With no collector installed a
+//! span costs one relaxed atomic load and allocates nothing. The
+//! `obs-off` cargo feature makes [`enabled`] a constant `false`, which
+//! compiles every span to nothing.
 
+use crate::trace::{FieldSet, FieldValue, Trace, TraceSpan};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Events kept per thread before the oldest is dropped.
-pub const RING_CAPACITY: usize = 4096;
+/// Spans one [`collect`] call keeps; later spans count as dropped, so
+/// a runaway stage cannot eat the heap.
+pub const COLLECT_CAPACITY: usize = 1 << 17;
 
-/// One completed span.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SpanEvent {
-    /// Stage name (static: span names are a closed vocabulary).
-    pub name: &'static str,
-    /// Start time in nanoseconds since the process's trace epoch.
-    pub start_ns: u64,
-    /// Duration in nanoseconds (wall-clock, or simulated for
-    /// [`record_duration`] events).
-    pub dur_ns: u64,
-    /// Nesting depth at entry (0 = top level on its thread).
-    pub depth: u32,
-    /// Small per-thread id (assignment order, not OS thread id).
-    pub thread: u64,
-    /// Optional key/value annotations.
-    pub fields: Vec<(&'static str, String)>,
+static COLLECTING: AtomicBool = AtomicBool::new(false);
+static NEXT_ID: AtomicU64 = AtomicU64::new(1);
+
+/// The installed collector: its clock origin and what it has kept.
+struct Sink {
+    t0: Instant,
+    spans: Vec<TraceSpan>,
+    dropped: u64,
 }
 
-/// A sink receiving every completed span from every thread.
-pub trait Collector: Send + Sync {
-    /// Called on span completion, on the completing thread.
-    fn record(&self, event: &SpanEvent);
-}
-
-/// A [`Collector`] buffering events in a mutex-guarded, bounded vec —
-/// the workhorse for reports and tests.
-#[derive(Debug)]
-pub struct VecCollector {
-    events: Mutex<Vec<SpanEvent>>,
-    cap: usize,
-}
-
-impl VecCollector {
-    /// A collector keeping at most `cap` events (later events are
-    /// dropped, earliest-wins, so a runaway stage cannot eat the heap).
-    pub fn new(cap: usize) -> VecCollector {
-        VecCollector {
-            events: Mutex::new(Vec::new()),
-            cap,
-        }
-    }
-
-    /// Take everything collected so far.
-    pub fn take(&self) -> Vec<SpanEvent> {
-        std::mem::take(&mut *self.events.lock().expect("collector lock"))
-    }
-
-    /// Events currently held.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("collector lock").len()
-    }
-
-    /// Whether nothing has been collected.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Collector for VecCollector {
-    fn record(&self, event: &SpanEvent) {
-        let mut ev = self.events.lock().expect("collector lock");
-        if ev.len() < self.cap {
-            ev.push(event.clone());
-        }
-    }
-}
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-static HAS_COLLECTOR: AtomicBool = AtomicBool::new(false);
-
-fn collector_slot() -> &'static RwLock<Option<Arc<dyn Collector>>> {
-    static SLOT: OnceLock<RwLock<Option<Arc<dyn Collector>>>> = OnceLock::new();
-    SLOT.get_or_init(|| RwLock::new(None))
-}
-
-/// Install (or clear) the process-wide span collector. Spans always
-/// land in their thread's ring buffer; a collector additionally sees
-/// every event, cross-thread.
-pub fn set_collector(c: Option<Arc<dyn Collector>>) {
-    let mut slot = collector_slot().write().expect("collector lock");
-    HAS_COLLECTOR.store(c.is_some(), Ordering::Release);
-    *slot = c;
-}
-
-/// Runtime kill switch for span recording (metric instruments are
-/// unaffected). Returns the previous state.
-pub fn set_enabled(on: bool) -> bool {
-    ENABLED.swap(on, Ordering::Relaxed)
-}
-
-/// Whether spans currently record.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed) && cfg!(not(feature = "obs-off"))
-}
-
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
-}
-
-fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
-}
-
-struct ThreadSpans {
-    id: u64,
-    depth: u32,
-    ring: std::collections::VecDeque<SpanEvent>,
-}
+static SINK: Mutex<Option<Sink>> = Mutex::new(None);
+/// Held for the whole of a [`collect`] call, so calls serialize.
+static SCOPE: Mutex<()> = Mutex::new(());
 
 thread_local! {
-    static TLS: std::cell::RefCell<ThreadSpans> = std::cell::RefCell::new({
-        static NEXT_THREAD: AtomicU64 = AtomicU64::new(0);
-        ThreadSpans {
-            id: NEXT_THREAD.fetch_add(1, Ordering::Relaxed),
-            depth: 0,
-            ring: std::collections::VecDeque::with_capacity(64),
+    /// Id of the span open on this thread, 0 when none.
+    static OPEN: Cell<u64> = const { Cell::new(0) };
+}
+
+fn lock<T>(m: &'static Mutex<T>) -> MutexGuard<'static, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// Whether spans currently record: a collector is installed and the
+/// `obs-off` feature is not set.
+pub fn enabled() -> bool {
+    cfg!(not(feature = "obs-off")) && COLLECTING.load(Ordering::Relaxed)
+}
+
+/// Run `f` with a collector installed and return its result with every
+/// span recorded meanwhile, from any thread, ordered by start time.
+/// Timestamps count from the call's start. At most
+/// [`COLLECT_CAPACITY`] spans are kept (the rest are counted in
+/// `dropped`). Calls serialize, so `f` must not call `collect` itself.
+pub fn collect<R>(f: impl FnOnce() -> R) -> (R, Trace) {
+    struct Uninstall;
+    impl Drop for Uninstall {
+        fn drop(&mut self) {
+            COLLECTING.store(false, Ordering::Release);
         }
+    }
+    let _scope = lock(&SCOPE);
+    *lock(&SINK) = Some(Sink {
+        t0: Instant::now(),
+        spans: Vec::new(),
+        dropped: 0,
     });
+    NEXT_ID.store(1, Ordering::Relaxed);
+    COLLECTING.store(true, Ordering::Release);
+    let out = {
+        let _uninstall = Uninstall;
+        f()
+    };
+    let sink = lock(&SINK).take().expect("collector installed");
+    (out, Trace::merge([(sink.spans, sink.dropped)]))
 }
 
-fn push_event(event: SpanEvent) {
-    if HAS_COLLECTOR.load(Ordering::Acquire) {
-        if let Some(c) = collector_slot().read().expect("collector lock").as_ref() {
-            c.record(&event);
-        }
+/// Record a completed stage whose duration the caller supplies — the
+/// hook for modelled SelectMAP time that no host clock can measure. It
+/// starts now, under the span open on this thread, tagged `clock=port`.
+pub fn record_duration(stage: &'static str, dur: Duration, fields: &[(&'static str, FieldValue)]) {
+    if !enabled() {
+        return;
     }
-    TLS.with(|t| {
-        let mut t = t.borrow_mut();
-        if t.ring.len() >= RING_CAPACITY {
-            t.ring.pop_front();
-        }
-        t.ring.push_back(event);
-    });
+    let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+    let parent = OPEN.with(Cell::get);
+    let fields = field_set("port", fields);
+    push(id, parent, stage, Instant::now(), dur, fields);
 }
 
-/// Drain the current thread's span ring buffer (oldest first).
-pub fn take_thread_spans() -> Vec<SpanEvent> {
-    TLS.with(|t| t.borrow_mut().ring.drain(..).collect())
-}
-
-/// Record a completed stage with an explicitly supplied duration — the
-/// hook for simulated timings (SelectMAP byte-cycle downloads) that no
-/// wall clock can measure.
-pub fn record_duration(name: &'static str, dur: Duration) {
-    record_duration_with(name, dur, Vec::new());
-}
-
-/// [`record_duration`] with field annotations.
-pub fn record_duration_with(
-    name: &'static str,
-    dur: Duration,
-    fields: Vec<(&'static str, String)>,
-) {
-    #[cfg(feature = "obs-off")]
-    {
-        let _ = (name, dur, fields);
+fn field_set(clock: &'static str, fields: &[(&'static str, FieldValue)]) -> FieldSet {
+    let mut set = FieldSet::EMPTY;
+    set.push("clock", FieldValue::Str(clock));
+    for &(k, v) in fields {
+        set.push(k, v);
     }
-    #[cfg(not(feature = "obs-off"))]
-    {
-        if !enabled() {
-            return;
-        }
-        let (thread, depth) = TLS.with(|t| {
-            let t = t.borrow();
-            (t.id, t.depth)
-        });
-        push_event(SpanEvent {
-            name,
-            start_ns: now_ns(),
-            dur_ns: dur.as_nanos() as u64,
-            depth,
-            thread,
-            fields,
-        });
-    }
+    set
 }
 
-#[cfg(not(feature = "obs-off"))]
-struct ActiveSpan {
-    name: &'static str,
+fn push(
+    id: u64,
+    parent: u64,
+    stage: &'static str,
     start: Instant,
-    start_ns: u64,
-    fields: Vec<(&'static str, String)>,
+    dur: Duration,
+    fields: FieldSet,
+) {
+    let mut sink = lock(&SINK);
+    let Some(sink) = sink.as_mut() else {
+        return;
+    };
+    if sink.spans.len() >= COLLECT_CAPACITY {
+        sink.dropped += 1;
+        return;
+    }
+    let start_ns = start.saturating_duration_since(sink.t0).as_nanos() as u64;
+    let mut span = TraceSpan::new(id, parent, stage, start_ns, dur.as_nanos() as u64);
+    span.seq = id;
+    span.fields = fields;
+    sink.spans.push(span);
+}
+
+struct Open {
+    id: u64,
+    parent: u64,
+    stage: &'static str,
+    start: Instant,
+    fields: FieldSet,
 }
 
 /// An RAII stage timer: created by [`crate::span!`], records a
-/// [`SpanEvent`] when dropped.
+/// host-clock [`TraceSpan`] when dropped.
 #[must_use = "a span measures the scope it is bound to; bind it to a named guard"]
-pub struct Span {
-    #[cfg(not(feature = "obs-off"))]
-    inner: Option<ActiveSpan>,
-    #[cfg(feature = "obs-off")]
-    _noop: (),
-}
+pub struct Span(Option<Open>);
 
 impl Span {
-    /// A span that records nothing — what [`crate::span!`] hands out
-    /// when recording is off, without ever materializing its fields.
-    pub fn disabled() -> Span {
-        #[cfg(feature = "obs-off")]
-        {
-            Span { _noop: () }
+    /// Enter a stage with field annotations; a no-op guard when
+    /// recording is off.
+    pub fn enter(stage: &'static str, fields: &[(&'static str, FieldValue)]) -> Span {
+        if !enabled() {
+            return Span(None);
         }
-        #[cfg(not(feature = "obs-off"))]
-        {
-            Span { inner: None }
-        }
-    }
-
-    /// Enter a stage.
-    pub fn enter(name: &'static str) -> Span {
-        Span::enter_with(name, Vec::new())
-    }
-
-    /// Enter a stage with field annotations.
-    pub fn enter_with(name: &'static str, fields: Vec<(&'static str, String)>) -> Span {
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = (name, fields);
-            Span { _noop: () }
-        }
-        #[cfg(not(feature = "obs-off"))]
-        {
-            if !enabled() {
-                return Span { inner: None };
-            }
-            TLS.with(|t| t.borrow_mut().depth += 1);
-            Span {
-                inner: Some(ActiveSpan {
-                    name,
-                    start: Instant::now(),
-                    start_ns: now_ns(),
-                    fields,
-                }),
-            }
-        }
-    }
-
-    /// Attach a field to a live span (no-op when recording is off).
-    pub fn add_field(&mut self, key: &'static str, value: impl std::fmt::Display) {
-        #[cfg(feature = "obs-off")]
-        {
-            let _ = (key, value);
-        }
-        #[cfg(not(feature = "obs-off"))]
-        if let Some(s) = &mut self.inner {
-            s.fields.push((key, value.to_string()));
-        }
+        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
+        Span(Some(Open {
+            id,
+            parent: OPEN.with(|open| open.replace(id)),
+            stage,
+            start: Instant::now(),
+            fields: field_set("host", fields),
+        }))
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        #[cfg(not(feature = "obs-off"))]
-        if let Some(s) = self.inner.take() {
-            let dur_ns = s.start.elapsed().as_nanos() as u64;
-            let (thread, depth) = TLS.with(|t| {
-                let mut t = t.borrow_mut();
-                t.depth = t.depth.saturating_sub(1);
-                (t.id, t.depth)
-            });
-            push_event(SpanEvent {
-                name: s.name,
-                start_ns: s.start_ns,
-                dur_ns,
-                depth,
-                thread,
-                fields: s.fields,
-            });
+        if let Some(s) = self.0.take() {
+            let dur = s.start.elapsed();
+            OPEN.with(|open| open.set(s.parent));
+            push(s.id, s.parent, s.stage, s.start, dur, s.fields);
         }
     }
 }
 
 /// Enter a named stage span: `let _g = obs::span!("generate");` or
-/// `let _g = obs::span!("generate", "frames" => n);`. The guard records
-/// on drop; bind it to a named variable (`_g`), never `_`.
+/// `let _g = obs::span!("generate", "frames" => n);` (values convert
+/// into [`FieldValue`]). The guard records on drop; bind it to a named
+/// variable (`_g`), never `_`.
 #[macro_export]
 macro_rules! span {
-    ($name:expr) => {
-        $crate::Span::enter($name)
-    };
-    ($name:expr, $($k:expr => $v:expr),+ $(,)?) => {
-        // Fields are only materialized (vec + Display strings) when
-        // recording is on, so disabled spans cost no allocation.
-        if $crate::enabled() {
-            $crate::Span::enter_with($name, vec![$(($k, $v.to_string())),+])
-        } else {
-            $crate::Span::disabled()
-        }
+    ($stage:expr $(, $k:expr => $v:expr)* $(,)?) => {
+        $crate::Span::enter($stage, &[$(($k, $crate::FieldValue::from($v))),*])
     };
 }
 
@@ -320,138 +183,100 @@ macro_rules! span {
 mod tests {
     use super::*;
 
-    // Span tests share per-thread state; each uses its own thread to
-    // stay independent of test-runner threading. They also share the
-    // process-wide enable switch and collector slot, so tests that
-    // record hold `GLOBAL` to keep one test's `set_enabled(false)` from
-    // silencing another's spans.
-    static GLOBAL: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn lock_global() -> std::sync::MutexGuard<'static, ()> {
-        GLOBAL.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn on_fresh_thread<R: Send>(f: impl FnOnce() -> R + Send) -> R {
-        let _global = lock_global();
-        std::thread::scope(|s| s.spawn(f).join().expect("test thread"))
+    #[cfg(not(feature = "obs-off"))]
+    fn field<'a>(s: &'a TraceSpan, key: &str) -> Option<&'a FieldValue> {
+        s.fields.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
     }
 
     #[test]
     #[cfg(feature = "obs-off")]
     fn obs_off_records_nothing() {
-        on_fresh_thread(|| {
-            let _ = take_thread_spans();
+        let ((), trace) = collect(|| {
             assert!(!enabled());
-            {
-                let _g = crate::span!("quiet");
-                record_duration("quiet", Duration::from_micros(1));
-            }
-            assert!(take_thread_spans().is_empty());
+            let _g = crate::span!("quiet");
+            record_duration("quiet", Duration::from_micros(1), &[]);
         });
+        assert!(trace.spans.is_empty());
     }
 
     #[test]
     #[cfg(not(feature = "obs-off"))]
     fn spans_record_nesting_and_order() {
-        on_fresh_thread(|| {
-            let _ = take_thread_spans();
-            {
-                let _outer = crate::span!("outer");
-                let _inner = crate::span!("inner", "k" => 7);
-            }
-            let ev = take_thread_spans();
-            assert_eq!(ev.len(), 2);
-            // Inner drops first.
-            assert_eq!(ev[0].name, "inner");
-            assert_eq!(ev[0].depth, 1);
-            assert_eq!(ev[0].fields, vec![("k", "7".to_string())]);
-            assert_eq!(ev[1].name, "outer");
-            assert_eq!(ev[1].depth, 0);
-            assert!(ev[1].start_ns <= ev[0].start_ns);
+        let ((), trace) = collect(|| {
+            let _outer = crate::span!("outer");
+            let _inner = crate::span!("inner", "k" => 7usize);
         });
+        let s = &trace.spans;
+        assert_eq!(s.len(), 2);
+        // Ordered by start: the outer span first, the inner one its child.
+        assert_eq!(s[0].stage, "outer");
+        assert_eq!(s[0].parent, 0);
+        assert_eq!(s[1].stage, "inner");
+        assert_eq!(s[1].parent, s[0].trace);
+        assert!(s[0].start_ns <= s[1].start_ns);
+        assert!(s[0].dur_ns >= s[1].dur_ns);
+        assert_eq!(field(&s[1], "k"), Some(&FieldValue::U64(7)));
+        assert_eq!(field(&s[0], "clock"), Some(&FieldValue::Str("host")));
     }
 
     #[test]
     #[cfg(not(feature = "obs-off"))]
     fn record_duration_uses_given_time() {
-        on_fresh_thread(|| {
-            let _ = take_thread_spans();
-            record_duration("download", Duration::from_micros(123));
-            let ev = take_thread_spans();
-            assert_eq!(ev.len(), 1);
-            assert_eq!(ev[0].dur_ns, 123_000);
+        let ((), trace) = collect(|| {
+            let _g = crate::span!("board");
+            record_duration("download", Duration::from_micros(123), &[]);
         });
+        let dl = trace.spans.iter().find(|s| s.stage == "download").unwrap();
+        assert_eq!(dl.dur_ns, 123_000);
+        assert_eq!(dl.parent, trace.spans[0].trace);
+        assert_eq!(field(dl, "clock"), Some(&FieldValue::Str("port")));
     }
 
     #[test]
     #[cfg(not(feature = "obs-off"))]
     fn disabled_spans_record_nothing() {
-        on_fresh_thread(|| {
-            let _ = take_thread_spans();
-            let was = set_enabled(false);
-            {
-                let _g = crate::span!("quiet");
-                record_duration("quiet", Duration::from_micros(1));
-            }
-            set_enabled(was);
-            assert!(take_thread_spans().is_empty());
-        });
+        // Holding the scope lock keeps any collector from being
+        // installed meanwhile.
+        let _scope = lock(&SCOPE);
+        assert!(!enabled());
+        let g = crate::span!("quiet", "k" => 1usize);
+        assert!(g.0.is_none());
+        record_duration("quiet", Duration::from_micros(1), &[]);
+        assert!(lock(&SINK).is_none());
     }
 
     #[test]
     #[cfg(not(feature = "obs-off"))]
-    fn ring_is_bounded() {
-        on_fresh_thread(|| {
-            let _ = take_thread_spans();
-            for _ in 0..RING_CAPACITY + 10 {
+    fn collect_is_bounded() {
+        let ((), trace) = collect(|| {
+            for _ in 0..COLLECT_CAPACITY + 10 {
                 let _g = crate::span!("tick");
             }
-            let ev = take_thread_spans();
-            assert_eq!(ev.len(), RING_CAPACITY);
         });
+        assert_eq!(trace.spans.len(), COLLECT_CAPACITY);
+        assert_eq!(trace.dropped, 10);
     }
 
     #[test]
     #[cfg(not(feature = "obs-off"))]
     fn collector_sees_cross_thread_events() {
-        let _global = lock_global();
-        let c = Arc::new(VecCollector::new(1024));
-        set_collector(Some(c.clone()));
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    let _g = crate::span!("worker");
-                });
-            }
-        });
-        set_collector(None);
-        let ev: Vec<SpanEvent> = c
-            .take()
-            .into_iter()
-            .filter(|e| e.name == "worker")
-            .collect();
-        assert_eq!(ev.len(), 4);
-        // Thread ids are distinct per thread.
-        let mut threads: Vec<u64> = ev.iter().map(|e| e.thread).collect();
-        threads.sort_unstable();
-        threads.dedup();
-        assert_eq!(threads.len(), 4);
-    }
-
-    #[test]
-    fn vec_collector_is_bounded() {
-        let c = VecCollector::new(2);
-        for _ in 0..5 {
-            c.record(&SpanEvent {
-                name: "x",
-                start_ns: 0,
-                dur_ns: 1,
-                depth: 0,
-                thread: 0,
-                fields: Vec::new(),
+        let ((), trace) = collect(|| {
+            let _g = crate::span!("caller");
+            std::thread::scope(|s| {
+                for _ in 0..4 {
+                    s.spawn(|| {
+                        let _g = crate::span!("worker");
+                    });
+                }
             });
-        }
-        assert_eq!(c.len(), 2);
-        assert!(!c.is_empty());
+        });
+        let workers: Vec<&TraceSpan> = trace.spans.iter().filter(|s| s.stage == "worker").collect();
+        assert_eq!(workers.len(), 4);
+        // A new thread has no open span: its spans are roots.
+        assert!(workers.iter().all(|s| s.parent == 0));
+        let mut ids: Vec<u64> = workers.iter().map(|s| s.trace).collect();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), 4);
     }
 }

@@ -1,5 +1,7 @@
-//! Deterministic causal request tracing over virtual time, plus the
-//! SLO engine.
+//! The one span type ([`TraceSpan`]) and its analysis: deterministic
+//! causal request tracing over virtual time, plus the SLO engine.
+//! Wall-clock stage spans from [`crate::span!`] use the same type, so
+//! every exporter and reader below serves both.
 //!
 //! The fleet scheduler (`fleet::sched`) is a discrete-event simulator:
 //! every interesting moment already has an exact virtual timestamp and
@@ -107,6 +109,13 @@ impl Default for FieldSet {
     }
 }
 
+/// Span fields given as counts (`obs::span!("stage", "runs" => n)`).
+impl From<usize> for FieldValue {
+    fn from(v: usize) -> FieldValue {
+        FieldValue::U64(v as u64)
+    }
+}
+
 impl std::fmt::Display for FieldValue {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -117,7 +126,10 @@ impl std::fmt::Display for FieldValue {
     }
 }
 
-/// One causally-linked span in virtual time.
+/// One causally-linked span: the workspace's only span type. The
+/// scheduler records them in virtual time; [`crate::span!`] and
+/// [`crate::record_duration`] record host-clock and modelled port-time
+/// spans (tagged by a `clock` field) inside [`crate::collect`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceSpan {
     /// Trace (request) identifier; spans sharing it belong to one
@@ -128,9 +140,10 @@ pub struct TraceSpan {
     pub parent: u64,
     /// Stage name (`"queue"`, `"download"`, `"verify"`, …).
     pub stage: &'static str,
-    /// Virtual start time in nanoseconds.
+    /// Start time in nanoseconds (virtual, or since the collector
+    /// started).
     pub start_ns: u64,
-    /// Duration in virtual nanoseconds (0 for instant events).
+    /// Duration in nanoseconds (0 for instant events).
     pub dur_ns: u64,
     /// Recording shard (filled in by [`ShardTracer::record`]).
     pub shard: u32,
@@ -525,9 +538,10 @@ fn parse_span_line(line: &str) -> Result<ParsedSpan, String> {
     }
     let mut fields = Vec::new();
     if let Some(at) = line.find("\"fields\":{") {
-        let body = &line[at + "\"fields\":{".len()..];
-        let end = body.rfind('}').ok_or("unterminated fields")?;
-        let body = &body[..end.saturating_sub(1).min(end)];
+        // The fields object closes the line: `…}}`.
+        let body = line[at + "\"fields\":{".len()..]
+            .strip_suffix("}}")
+            .ok_or("unterminated fields")?;
         // Keys never contain escapes (static identifiers); values are
         // numbers or simple quoted labels, so a comma split is safe.
         for pair in body.split(',').filter(|p| !p.is_empty()) {
@@ -574,12 +588,20 @@ pub fn exact_quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[rank - 1]
 }
 
-/// Per-stage p50/p99 breakdown, sorted by total duration descending
-/// (ties by stage name) so the dominant stage leads.
-pub fn stage_breakdown(spans: &[ParsedSpan]) -> Vec<StageStat> {
+impl StageStat {
+    /// Mean duration (ns), zero when empty.
+    pub fn mean_ns(&self) -> u64 {
+        self.total_ns.checked_div(self.count).unwrap_or(0)
+    }
+}
+
+/// Per-stage p50/p99 breakdown over `(stage, dur_ns)` pairs, sorted by
+/// total duration descending (ties by stage name) so the dominant stage
+/// leads.
+pub fn stage_breakdown<'a>(spans: impl IntoIterator<Item = (&'a str, u64)>) -> Vec<StageStat> {
     let mut by_stage: BTreeMap<&str, Vec<u64>> = BTreeMap::new();
-    for s in spans {
-        by_stage.entry(&s.stage).or_default().push(s.dur_ns);
+    for (stage, dur_ns) in spans {
+        by_stage.entry(stage).or_default().push(dur_ns);
     }
     let mut stats: Vec<StageStat> = by_stage
         .into_iter()
@@ -1167,6 +1189,18 @@ mod tests {
         }
         assert_eq!(parse_jsonl_strict(&truncated), Err(err.clone()));
         assert!(err.to_string().starts_with("line 2: "), "{err}");
+
+        // A fields object cut off after a multi-byte character is a
+        // typed error too, not a slice panic inside the character.
+        let torn = format!(
+            "{}\n{}",
+            lines[0],
+            r#"{"trace":2,"parent":0,"stage":"verify","start_ns":10,"dur_ns":5,"shard":0,"seq":1,"board":-1,"fields":{"k":"é}"#
+        );
+        match parse_jsonl(&torn) {
+            Err(TraceParseError::Line { line: 2, .. }) => {}
+            other => panic!("wrong result {other:?}"),
+        }
     }
 
     #[test]
@@ -1185,7 +1219,7 @@ mod tests {
             dropped: 0,
         };
         let parsed = parse_jsonl(&t.jsonl()).unwrap();
-        let stats = stage_breakdown(&parsed);
+        let stats = stage_breakdown(parsed.iter().map(|s| (s.stage.as_str(), s.dur_ns)));
         assert_eq!(stats[0].stage, "request");
         let dl = stats.iter().find(|s| s.stage == "download").unwrap();
         assert_eq!(dl.count, 2);

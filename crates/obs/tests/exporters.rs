@@ -2,7 +2,7 @@
 //! for the registry. The exporters promise deterministic output for a
 //! given snapshot — these tests pin the exact bytes.
 
-use obs::{Registry, SpanEvent};
+use obs::{FieldValue, Registry, Trace, TraceSpan};
 use std::time::Duration;
 
 fn golden_registry() -> Registry {
@@ -61,31 +61,27 @@ fn snapshot_json_golden() {
     assert_eq!(json, expected);
 }
 
+/// The JSONL span schema that `jpg-cli report --format jsonl` writes
+/// and `jpg-cli trace` reads: a host-clock stage with a child that
+/// carries modelled port time, and a stage name that needs escaping.
 #[test]
-fn jsonl_spans_golden() {
-    let events = vec![
-        SpanEvent {
-            name: "parse",
-            start_ns: 1_000,
-            dur_ns: 42_000,
-            depth: 0,
-            thread: 0,
-            fields: vec![("records", "7".to_string())],
-        },
-        SpanEvent {
-            name: "line\"break\"",
-            start_ns: 50_000,
-            dur_ns: 10,
-            depth: 1,
-            thread: 3,
-            fields: vec![("note", "a\nb".to_string())],
-        },
-    ];
+fn trace_jsonl_golden() {
+    let parse = TraceSpan::new(1, 0, "parse", 1_000, 42_000)
+        .field("clock", FieldValue::Str("host"))
+        .field("records", FieldValue::U64(7));
+    let mut download = TraceSpan::new(2, 1, "line\"break\"", 50_000, 10)
+        .field("clock", FieldValue::Str("port"))
+        .field("delta", FieldValue::I64(-3));
+    download.seq = 2;
+    let trace = Trace {
+        spans: vec![parse, download],
+        dropped: 0,
+    };
     let expected = "\
-{\"span\":\"parse\",\"start_ns\":1000,\"dur_ns\":42000,\"depth\":0,\"thread\":0,\"fields\":{\"records\":\"7\"}}
-{\"span\":\"line\\\"break\\\"\",\"start_ns\":50000,\"dur_ns\":10,\"depth\":1,\"thread\":3,\"fields\":{\"note\":\"a\\nb\"}}
+{\"trace\":1,\"parent\":0,\"stage\":\"parse\",\"start_ns\":1000,\"dur_ns\":42000,\"shard\":0,\"seq\":0,\"board\":-1,\"fields\":{\"clock\":\"host\",\"records\":7}}
+{\"trace\":2,\"parent\":1,\"stage\":\"line\\\"break\\\"\",\"start_ns\":50000,\"dur_ns\":10,\"shard\":0,\"seq\":2,\"board\":-1,\"fields\":{\"clock\":\"port\",\"delta\":-3}}
 ";
-    assert_eq!(obs::jsonl_spans(&events), expected);
+    assert_eq!(trace.jsonl(), expected);
 }
 
 #[test]

@@ -136,7 +136,7 @@ impl SelectMap {
         obs::counter!("simboard_download_bytes_total").add(bs.byte_len() as u64);
         // The port's time is simulated (byte-per-CCLK), so the download
         // "span" carries the model's duration, not wall-clock.
-        obs::record_duration("download", download_time(bs.byte_len()));
+        obs::record_duration("download", download_time(bs.byte_len()), &[]);
         let draw = match &mut self.fault {
             Some(f) => f.draw(),
             None => FaultKind::Clean,
@@ -193,7 +193,7 @@ impl SelectMap {
         self.downloads += 1;
         obs::counter!("simboard_downloads_total").inc();
         obs::counter!("simboard_download_bytes_total").add(container.len() as u64);
-        obs::record_duration("download", download_time(container.len()));
+        obs::record_duration("download", download_time(container.len()), &[]);
         let draw = match &mut self.fault {
             Some(f) => f.draw(),
             None => FaultKind::Clean,

@@ -1,8 +1,7 @@
 //! Serving partial reconfigurations from a fleet of simulated boards.
 //!
 //! ```text
-//! cargo run --release --example fleet_serving          # Figure-4 scenario
-//! cargo run --release --example fleet_serving smoke    # small + fast (CI)
+//! cargo run --release --example fleet_serving
 //! ```
 //!
 //! The paper's Figure-4 library — three regions with 3, 3 and 4
@@ -15,13 +14,10 @@
 //! full-bitstream mode shows what the conventional one-complete-bitstream-
 //! per-combination flow would cost in configuration traffic.
 
-use cadflow::gen;
 use cadflow::netlist::Netlist;
 use fleet::{Fleet, FleetConfig, Request, ServeMode, ServingLibrary};
-use jpg::workflow::{base_modules, build_base, fig4, BaseDesign, RegionSpec, FIG4_DEVICE};
+use jpg::workflow::{base_modules, build_base, fig4, BaseDesign, FIG4_DEVICE};
 use std::sync::Arc;
-use virtex::Device;
-use xdl::Rect;
 
 /// The serving scenario: a base design, its variant catalogues, and the
 /// request mix to drain.
@@ -32,16 +28,11 @@ struct Scenario {
     requests: usize,
 }
 
-/// Build `regions`' base design (first variant each) on `device`.
-fn scenario(
-    name: &str,
-    device: Device,
-    regions: Vec<RegionSpec>,
-    seed: u64,
-    boards: usize,
-    requests: usize,
-) -> Scenario {
-    let base = build_base(name, device, &base_modules(&regions), seed).expect("base design");
+/// The Figure-4 scenario: the base design (first variant each), the
+/// variant catalogues, four boards and sixty requests.
+fn fig4_scenario() -> Scenario {
+    let regions = fig4();
+    let base = build_base("fig4", FIG4_DEVICE, &base_modules(&regions), 11).expect("base design");
     let catalogues = regions
         .into_iter()
         .map(|r| (r.prefix, r.variants))
@@ -49,28 +40,9 @@ fn scenario(
     Scenario {
         base,
         catalogues,
-        boards,
-        requests,
+        boards: 4,
+        requests: 60,
     }
-}
-
-/// A cut-down scenario for CI smoke runs: XCV50, two regions, two
-/// variants each, two boards.
-fn smoke() -> Scenario {
-    let rows = Device::XCV50.geometry().clb_rows as i32 - 1;
-    let regions = vec![
-        RegionSpec {
-            prefix: "r1/".into(),
-            region: Rect::new(0, 1, rows, 4),
-            variants: vec![gen::counter("up", 3), gen::gray_counter("gray", 3)],
-        },
-        RegionSpec {
-            prefix: "r2/".into(),
-            region: Rect::new(0, 7, rows, 10),
-            variants: vec![gen::down_counter("down", 3), gen::lfsr("lfsr", 3)],
-        },
-    ];
-    scenario("smoke", Device::XCV50, regions, 7, 2, 12)
 }
 
 /// A deterministic request mix over the library: a hot variant (every
@@ -126,12 +98,7 @@ fn run_mode(scn: &Scenario, lib: &Arc<ServingLibrary>, mode: ServeMode) -> (f64,
 }
 
 fn main() {
-    let smoke_mode = std::env::args().any(|a| a == "smoke");
-    let scn = if smoke_mode {
-        smoke()
-    } else {
-        scenario("fig4", FIG4_DEVICE, fig4(), 11, 4, 60)
-    };
+    let scn = fig4_scenario();
     let variants: usize = scn.catalogues.iter().map(|(_, v)| v.len()).sum();
     println!(
         "Library: {} regions, {} variants on {} — serving {} requests on {} boards",

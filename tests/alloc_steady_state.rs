@@ -6,8 +6,9 @@
 //! dirty frames, cache-filter, coalesce, emit with
 //! `bitgen::partial_bitstream`, drop the partial — must allocate the
 //! same number of times: at most two (the stream, reserved once from
-//! the ranges, and the pad frame), and never reallocate. Span tracing
-//! is runtime-disabled, as a repeated-generation service would run it.
+//! the ranges, and the pad frame), and never reallocate. Spans are left
+//! in their default state: no collector is installed, as in every
+//! process that does not call `obs::collect`.
 //!
 //! This file holds exactly one test: the allocator count is global, so
 //! a sibling test on another harness thread would pollute the window.
@@ -46,8 +47,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 
 #[test]
 fn generation_loop_allocates_only_stream_and_pad_at_steady_state() {
-    obs::set_enabled(false);
-
     let device = Device::XCV50;
     let base = ConfigMemory::new(device);
     let cache = FrameCache::new();
@@ -108,6 +107,4 @@ fn generation_loop_allocates_only_stream_and_pad_at_steady_state() {
         "one iteration allocated {} times",
         per_iteration[0]
     );
-
-    obs::set_enabled(true);
 }
