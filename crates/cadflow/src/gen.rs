@@ -4,7 +4,7 @@
 //! one of several interchangeable module implementations. These
 //! generators provide a family of such modules with a common interface
 //! (`en` input, `q[..]`/bit outputs) plus classic RC workloads (parity,
-//! string matching in the style of the paper's reference [5], simple
+//! string matching in the style of the paper's reference \[5\], simple
 //! FIR-ish accumulators).
 
 use crate::netlist::{GateKind, Netlist, NetlistBuilder, SignalId};
@@ -124,7 +124,7 @@ pub fn adder(name: &str, width: usize) -> Netlist {
 }
 
 /// Registered equality comparator against a constant `pattern` — the
-/// string-matching primitive of the paper's reference [5]: a serial input
+/// string-matching primitive of the paper's reference \[5\]: a serial input
 /// shifts through a register chain compared against the pattern.
 pub fn string_matcher(name: &str, pattern: &[bool]) -> Netlist {
     let mut b = NetlistBuilder::new(name);

@@ -12,12 +12,12 @@
 //! * [`eval`] — a golden event-free simulator for the logical netlist,
 //!   the reference against which every downstream stage is verified;
 //! * [`map`] — technology mapping onto 4-input LUTs + optional flip-flop;
-//! * [`pack`] — slice packing and conversion to the [`xdl::Design`]
+//! * [`mod@pack`] — slice packing and conversion to the [`xdl::Design`]
 //!   database (instances with `cfg` strings, logical nets);
-//! * [`place`] — simulated-annealing placement honouring UCF `LOC` and
+//! * [`mod@place`] — simulated-annealing placement honouring UCF `LOC` and
 //!   `AREA_GROUP`/`RANGE` constraints, with a *guided* mode reproducing
 //!   the paper's Phase-2 "guided floorplanning";
-//! * [`route`] — a PathFinder negotiated-congestion router over the
+//! * [`mod@route`] — a PathFinder negotiated-congestion router over the
 //!   `virtex` routing graph;
 //! * [`flow`] — the driver tying the stages together and timing them.
 

@@ -4,7 +4,7 @@
 //! floorplanning" step).
 //!
 //! Site occupancy lives in a dense array over the device's tiles, ring
-//! included ([`Occupancy`]), so the annealer's inner loop neither hashes
+//! included (`Occupancy`), so the annealer's inner loop neither hashes
 //! nor allocates: each instance carries the index of its candidate-site
 //! pool, one buffer collects a move's affected nets, and each net's
 //! current wirelength is kept, so a move recomputes only the affected

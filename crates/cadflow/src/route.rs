@@ -36,7 +36,7 @@
 //! stays in its columns and off horizontal long lines. Neither depends on
 //! the search, so the first expansion of a wire in a `route()` call
 //! filters its `downhill` output once and keeps the survivors as
-//! [`Edge`]s — target id, base cost, heap rank, a logic-pin flag and
+//! `Edge`s — target id, base cost, heap rank, a logic-pin flag and
 //! which end's tile holds the PIP's enable bit — which every later
 //! expansion of that wire, in any net, sink or iteration, reads back.
 //! Only the exact sink pin may be entered among the pins, so a pin edge

@@ -6,7 +6,7 @@
 //! density (dense pseudo-random words through mostly-zero frames, so
 //! every encoder mode gets exercised), asserting:
 //!
-//! 1. **Round-trip byte identity** — [`wire::encode`] followed by
+//! 1. **Round-trip byte identity** — [`wire::encode()`] followed by
 //!    [`wire::decode_full`] reproduces exactly the partial's words;
 //! 2. **Streaming apply equivalence** — [`wire::apply_streaming`]
 //!    against a device-side [`bitstream::Interpreter`] lands the same

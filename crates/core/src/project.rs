@@ -175,7 +175,7 @@ impl JpgProject {
 
     /// Generate a partial bitstream for a module from its XDL and UCF
     /// text (paper option one: "obtain the partial bitstream of the new
-    /// design, without downloading [it] onto the base-design").
+    /// design, without downloading \[it\] onto the base-design").
     pub fn generate_partial(
         &self,
         xdl_text: &str,

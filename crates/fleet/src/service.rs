@@ -3,7 +3,7 @@
 //!
 //! Each request means "make region R of some board run variant V, step
 //! the user clock, return the module's pad outputs". The facade wraps
-//! the generic scheduler in [`crate::sched`] with a [`RealBackend`]
+//! the generic scheduler in [`crate::sched`] with a `RealBackend`
 //! whose downloads go through [`jbits::Xhwif`] exactly as JPG's own
 //! download path does, verified by region-scoped readback compare and
 //! retried with exponential backoff when the port faults or

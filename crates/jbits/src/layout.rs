@@ -215,13 +215,42 @@ impl Layout {
             .any(|f| slot_bits(mem.frame(f), w.row_slot) != 0)
     }
 
+    /// Number of tile columns: the left IOB column, the CLB columns and
+    /// the right IOB column. Column flags passed to
+    /// [`Self::tiles_in_use_in`] are indexed by `col + 1`.
+    pub fn tile_columns(&self) -> usize {
+        self.columns.len()
+    }
+
+    /// Flag, by `col + 1`, every tile column that holds one of `frames`
+    /// (ascending linear frame indices): one binary search per column.
+    /// Frames of columns no tile owns (block RAM, the clock column) flag
+    /// nothing.
+    pub fn mark_tile_columns(&self, frames: &[usize], cols: &mut [bool]) {
+        for (flag, &(first, count)) in cols.iter_mut().zip(&self.columns) {
+            let at = frames.partition_point(|&f| f < first);
+            *flag |= frames.get(at).is_some_and(|&f| f < first + count);
+        }
+    }
+
     /// Every tile whose window holds a set bit, in [`virtex::grid::clb_tiles`]
     /// then [`virtex::grid::iob_tiles`] order: one OR over each column's
     /// frames, then one row-slot read per tile.
     pub fn tiles_in_use(&self, mem: &ConfigMemory) -> Vec<TileCoord> {
+        self.tiles_in_use_in(mem, &vec![true; self.columns.len()])
+    }
+
+    /// [`Self::tiles_in_use`] restricted to the tile columns flagged in
+    /// `cols` (indexed by `col + 1`): only their frames are read, and the
+    /// OR of every other column stays empty, so none of its tiles is
+    /// listed.
+    pub fn tiles_in_use_in(&self, mem: &ConfigMemory, cols: &[bool]) -> Vec<TileCoord> {
         let fw = mem.frame_words();
         let mut or = vec![0u32; self.columns.len() * fw];
-        for (acc, &(first, count)) in or.chunks_mut(fw).zip(&self.columns) {
+        for ((acc, &(first, count)), _) in (or.chunks_mut(fw).zip(&self.columns))
+            .zip(cols)
+            .filter(|(_, &flag)| flag)
+        {
             for frame in mem.frame_span(first, count).chunks_exact(fw) {
                 acc.iter_mut().zip(frame).for_each(|(a, w)| *a |= w);
             }
@@ -509,6 +538,53 @@ mod tests {
                 }
             }
             assert!(pips_found > 0, "{device}: no poke landed on a PIP bit");
+        }
+    }
+
+    #[test]
+    fn column_restricted_reads_match_the_whole_device_read() {
+        for device in [Device::XCV50, Device::XCV400] {
+            let layout = Layout::new(device);
+            let mut mem = ConfigMemory::new(device);
+            let all: Vec<TileCoord> = virtex::grid::clb_tiles(device)
+                .chain(virtex::grid::iob_tiles(device))
+                .collect();
+            for (k, &tile) in all.iter().enumerate().filter(|(k, _)| k % 7 == 0) {
+                let w = layout.window(tile);
+                let pos = w.local_to_pos((k * 31) % (w.frame_count * BITS_PER_ROW));
+                mem.set_bit(pos.frame, pos.bit, true);
+            }
+            let used = layout.tiles_in_use(&mem);
+            assert!(used.len() > 10, "{device}");
+            let n = layout.tile_columns();
+            for stride in [1, 2, 3, 5] {
+                let cols: Vec<bool> = (0..n).map(|c| c % stride == 0).collect();
+                let want = (used.iter().copied()).filter(|t| cols[(t.col + 1) as usize]);
+                assert!(layout.tiles_in_use_in(&mem, &cols).into_iter().eq(want));
+            }
+            // Each tile column's first and last frame flag exactly that
+            // column; a frame outside every tile column flags none.
+            for tile in [
+                TileCoord::new(0, -1),
+                TileCoord::new(0, 0),
+                TileCoord::new(-1, 3),
+            ] {
+                let frames = layout.window_bounds(tile).0;
+                for f in [frames.start, frames.end - 1] {
+                    let mut cols = vec![false; n];
+                    layout.mark_tile_columns(&[f], &mut cols);
+                    let flagged: Vec<usize> = (0..n).filter(|&c| cols[c]).collect();
+                    assert_eq!(flagged, [(tile.col + 1) as usize], "{device} frame {f}");
+                }
+            }
+            let owned: Vec<usize> = (-1..=n as i32 - 2)
+                .flat_map(|c| layout.window_bounds(TileCoord::new(0, c)).0)
+                .collect();
+            let stray = (0..mem.frame_count()).find(|f| !owned.contains(f));
+            let stray = stray.expect("block RAM and clock frames belong to no tile column");
+            let mut cols = vec![false; n];
+            layout.mark_tile_columns(&[stray], &mut cols);
+            assert!(!cols.contains(&true), "{device} frame {stray}");
         }
     }
 

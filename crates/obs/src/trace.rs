@@ -516,50 +516,190 @@ pub fn parse_jsonl_strict(text: &str) -> Result<Vec<ParsedSpan>, TraceParseError
 }
 
 fn parse_span_line(line: &str) -> Result<ParsedSpan, String> {
-    fn num_after(line: &str, key: &str) -> Result<i64, String> {
-        let pat = format!("\"{key}\":");
-        let at = line.find(&pat).ok_or_else(|| format!("missing {key}"))?;
-        let rest = &line[at + pat.len()..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '-'))
-            .unwrap_or(rest.len());
-        rest[..end]
-            .parse::<i64>()
+    let mut r = JsonReader { text: line, at: 0 };
+    let pairs = r.object(1)?;
+    r.ws();
+    if r.at != line.len() {
+        return Err(format!("trailing data at byte {}", r.at));
+    }
+    let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
+    let num = |key: &str| match get(key) {
+        Some(JsonValue::Num(n)) => Ok(*n),
+        Some(_) => Err(format!("bad number for {key}")),
+        None => Err(format!("missing {key}")),
+    };
+    let unsigned = |key| {
+        num(key)?
+            .parse()
             .map_err(|_| format!("bad number for {key}"))
-    }
-    fn str_after<'a>(line: &'a str, key: &str) -> Result<&'a str, String> {
-        let pat = format!("\"{key}\":\"");
-        let at = line.find(&pat).ok_or_else(|| format!("missing {key}"))?;
-        let rest = &line[at + pat.len()..];
-        let end = rest
-            .find('"')
-            .ok_or_else(|| format!("unterminated {key}"))?;
-        Ok(&rest[..end])
-    }
-    let mut fields = Vec::new();
-    if let Some(at) = line.find("\"fields\":{") {
-        // The fields object closes the line: `…}}`.
-        let body = line[at + "\"fields\":{".len()..]
-            .strip_suffix("}}")
-            .ok_or("unterminated fields")?;
-        // Keys never contain escapes (static identifiers); values are
-        // numbers or simple quoted labels, so a comma split is safe.
-        for pair in body.split(',').filter(|p| !p.is_empty()) {
-            let (k, v) = pair.split_once(':').ok_or("bad field pair")?;
-            let k = k.trim().trim_matches('"').to_string();
-            let v = v.trim().trim_matches('"').to_string();
-            fields.push((k, v));
-        }
-    }
+    };
+    let stage = match get("stage") {
+        Some(JsonValue::Str(s)) => s.clone(),
+        Some(_) => return Err("stage is not a string".into()),
+        None => return Err("missing stage".into()),
+    };
+    let fields = match get("fields") {
+        None => Vec::new(),
+        Some(JsonValue::Obj(pairs)) => (pairs.iter())
+            .map(|(k, v)| match v {
+                JsonValue::Num(n) => Ok((k.clone(), n.to_string())),
+                JsonValue::Str(s) => Ok((k.clone(), s.clone())),
+                JsonValue::Obj(_) => Err(format!("field {k} is an object")),
+            })
+            .collect::<Result<_, _>>()?,
+        Some(_) => return Err("fields is not an object".into()),
+    };
     Ok(ParsedSpan {
-        trace: num_after(line, "trace")? as u64,
-        parent: num_after(line, "parent")? as u64,
-        stage: str_after(line, "stage")?.to_string(),
-        start_ns: num_after(line, "start_ns")? as u64,
-        dur_ns: num_after(line, "dur_ns")? as u64,
-        board: num_after(line, "board")?,
+        trace: unsigned("trace")?,
+        parent: unsigned("parent")?,
+        stage,
+        start_ns: unsigned("start_ns")?,
+        dur_ns: unsigned("dur_ns")?,
+        board: num("board")?
+            .parse()
+            .map_err(|_| "bad number for board".to_string())?,
         fields,
     })
+}
+
+/// A value on a span line: the writer emits integers, strings and one
+/// object (`fields`) of those.
+enum JsonValue<'a> {
+    /// An integer's literal text.
+    Num(&'a str),
+    /// A string, unescaped.
+    Str(String),
+    /// An object's pairs, in line order.
+    Obj(Vec<(String, JsonValue<'a>)>),
+}
+
+/// A cursor over one span line.
+struct JsonReader<'a> {
+    text: &'a str,
+    at: usize,
+}
+
+impl<'a> JsonReader<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.at).copied()
+    }
+
+    fn ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.at += 1;
+        }
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        self.ws();
+        if self.peek() != Some(c) {
+            return Err(format!("expected '{}' at byte {}", c as char, self.at));
+        }
+        self.at += 1;
+        Ok(())
+    }
+
+    /// An object whose values may nest `depth` more objects deep.
+    fn object(&mut self, depth: usize) -> Result<Vec<(String, JsonValue<'a>)>, String> {
+        self.expect(b'{')?;
+        let mut pairs = Vec::new();
+        self.ws();
+        if self.peek() == Some(b'}') {
+            self.at += 1;
+            return Ok(pairs);
+        }
+        loop {
+            let key = self.string()?;
+            self.expect(b':')?;
+            self.ws();
+            let value = match self.peek() {
+                Some(b'"') => JsonValue::Str(self.string()?),
+                Some(b'{') if depth > 0 => JsonValue::Obj(self.object(depth - 1)?),
+                _ => JsonValue::Num(self.number()?),
+            };
+            pairs.push((key, value));
+            self.ws();
+            match self.peek() {
+                Some(b',') => self.at += 1,
+                Some(b'}') => {
+                    self.at += 1;
+                    return Ok(pairs);
+                }
+                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
+            }
+        }
+    }
+
+    fn number(&mut self) -> Result<&'a str, String> {
+        let rest = &self.text[self.at..];
+        let len = (rest.find(|c: char| !(c.is_ascii_digit() || c == '-'))).unwrap_or(rest.len());
+        if len == 0 {
+            return Err(format!("expected a number or string at byte {}", self.at));
+        }
+        self.at += len;
+        Ok(&rest[..len])
+    }
+
+    /// A quoted string with its JSON escapes undone.
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            let rest = &self.text[self.at..];
+            let end = rest.find(['"', '\\']).ok_or("unterminated string")?;
+            out.push_str(&rest[..end]);
+            self.at += end + 1;
+            if rest.as_bytes()[end] == b'"' {
+                return Ok(out);
+            }
+            let escape = self.peek().ok_or("unterminated string")?;
+            self.at += 1;
+            out.push(match escape {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => self.unicode()?,
+                _ => return Err(format!("bad escape at byte {}", self.at - 2)),
+            });
+        }
+    }
+
+    /// The character of a `\u` escape (its `\u` already read): four hex
+    /// digits, or a surrogate pair of two escapes.
+    fn unicode(&mut self) -> Result<char, String> {
+        let at = self.at - 2;
+        let bad = || format!("bad \\u escape at byte {at}");
+        let hex4 = |r: &mut Self| {
+            let digits = r
+                .text
+                .get(r.at..r.at + 4)
+                .filter(|h| h.bytes().all(|b| b.is_ascii_hexdigit()));
+            r.at += 4;
+            digits
+                .map(|h| u32::from_str_radix(h, 16).expect("four hex digits"))
+                .ok_or_else(bad)
+        };
+        let high = hex4(self)?;
+        let code = if (0xD800..0xDC00).contains(&high) {
+            if !self.text[self.at..].starts_with("\\u") {
+                return Err(bad());
+            }
+            self.at += 2;
+            let low = hex4(self)?;
+            if !(0xDC00..0xE000).contains(&low) {
+                return Err(bad());
+            }
+            0x10000 + ((high - 0xD800) << 10) + (low - 0xDC00)
+        } else {
+            high
+        };
+        char::from_u32(code).ok_or_else(bad)
+    }
 }
 
 /// Per-stage latency statistics over a parsed trace.
@@ -1200,6 +1340,79 @@ mod tests {
         match parse_jsonl(&torn) {
             Err(TraceParseError::Line { line: 2, .. }) => {}
             other => panic!("wrong result {other:?}"),
+        }
+    }
+
+    #[test]
+    fn jsonl_round_trips_quotes_separators_and_multibyte_text() {
+        let odd = [
+            "quo\"te",
+            "back\\slash\\",
+            "com,ma",
+            "co:lon",
+            "}}{\"fields\":{\"x\":1}",
+            "ünï€😀",
+            "tab\tnew\nline\u{1}",
+            "",
+        ];
+        let spans = (odd.iter().zip(0u64..))
+            .map(|(&text, i)| {
+                TraceSpan::new(i + 1, i, text, 10 * i, u64::MAX - i)
+                    .on_board(i)
+                    .field(text, FieldValue::Str(text))
+                    .field("n", FieldValue::I64(-(i as i64)))
+                    .field("k,\":", FieldValue::U64(i))
+            })
+            .collect();
+        let t = Trace { spans, dropped: 0 };
+        let want: Vec<ParsedSpan> = (t.spans.iter())
+            .map(|s| ParsedSpan {
+                trace: s.trace,
+                parent: s.parent,
+                stage: s.stage.to_string(),
+                start_ns: s.start_ns,
+                dur_ns: s.dur_ns,
+                board: s.board,
+                fields: (s.fields.iter())
+                    .map(|(k, v)| (k.to_string(), v.to_string()))
+                    .collect(),
+            })
+            .collect();
+        assert_eq!(parse_jsonl(&t.jsonl()), Ok(want));
+    }
+
+    #[test]
+    fn span_lines_undo_every_json_escape_and_reject_bad_ones() {
+        let line = |stage: &str, fields: &str| {
+            format!(
+                r#"{{"trace":1,"parent":0,"stage":"{stage}","start_ns":0,"dur_ns":1,"board":-1,"fields":{{{fields}}}}}"#
+            )
+        };
+        let parsed = parse_jsonl(&line(r"\/\b\f\u00e9\ud83d\ude00", r#""a":"\"","b":7"#)).unwrap();
+        assert_eq!(parsed[0].stage, "/\u{8}\u{c}é😀");
+        assert_eq!(
+            parsed[0].fields,
+            [("a".into(), "\"".into()), ("b".into(), "7".into())]
+        );
+        let bad = [
+            line(r"\x", ""),
+            line(r"\u12", ""),
+            line(r"\u+123", ""),
+            line(r"\ud83d", ""),
+            line(r"\ud83dx", ""),
+            line(r"\udc00", ""),
+            line("s", r#""a":{"b":1}"#),
+            line("s", r#""a":true"#),
+            line("s", "") + "x",
+            line("s", "").replace(r#""stage":"s""#, r#""stage":5"#),
+            line("s", "").replace(r#""trace":1"#, r#""trace":"1""#),
+            line("s", "").replace(r#""dur_ns":1"#, r#""dur_ns":-1"#),
+        ];
+        for text in bad {
+            match parse_jsonl(&text) {
+                Err(TraceParseError::Line { line: 1, .. }) => {}
+                other => panic!("{text}: {other:?}"),
+            }
         }
     }
 

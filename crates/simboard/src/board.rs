@@ -1,14 +1,21 @@
 //! [`SimBoard`]: the complete simulated board behind [`jbits::Xhwif`].
 //!
-//! Owns a SelectMAP port and lazily (re)decodes the fabric after every
+//! Owns a SelectMAP port and re-decodes the fabric after every
 //! configuration — including partial reconfigurations, where flip-flop
 //! state *outside* the reconfigured region survives, as it does on real
 //! hardware performing dynamic partial reconfiguration.
+//!
+//! A re-decode reads only the tile columns that hold a frame written
+//! since the last successful decode, as the configuration memory's
+//! dirty set records them, and copies every other tile's slices, pads
+//! and PIPs from the previous model. A partial that rewrites a third of
+//! the device costs about a third of a whole-device read; the first
+//! decode of a fresh board is the same update with every column read.
 
-use crate::fabric::{DecodeError, FabricModel, FabricSim};
+use crate::fabric::{self, DecodeError, FabricSim, Prev, TileSpans};
 use crate::port::SelectMap;
 use bitstream::{Bitstream, ConfigError};
-use jbits::Xhwif;
+use jbits::{Layout, Xhwif};
 use std::collections::HashMap;
 use std::time::Duration;
 use virtex::{Device, IobCoord, TileCoord};
@@ -18,6 +25,9 @@ use virtex::{Device, IobCoord, TileCoord};
 pub struct SimBoard {
     port: SelectMap,
     sim: Option<FabricSim>,
+    /// Where each tile's pieces sit in `sim`'s model.
+    spans: TileSpans,
+    layout: Layout,
     /// Sticky external pad drives, reapplied across reconfigurations.
     pad_drives: HashMap<(TileCoord, u8), bool>,
     user_clocks: u64,
@@ -33,6 +43,8 @@ impl SimBoard {
         SimBoard {
             port: SelectMap::new(device),
             sim: None,
+            spans: TileSpans::default(),
+            layout: Layout::new(device),
             pad_drives: HashMap::new(),
             user_clocks: 0,
             digest_readback: true,
@@ -49,14 +61,27 @@ impl SimBoard {
 
     /// Rebuild the fabric simulation from the current configuration,
     /// carrying FF state over from the previous model where slices
-    /// persist (partial-reconfiguration semantics). Host work, so it
-    /// runs under a wall-clock `fabric_decode` span (the `download` span
-    /// carries modelled port time only).
+    /// persist (partial-reconfiguration semantics). Only the tile
+    /// columns written since the last successful re-decode are read;
+    /// the dirty set is cleared once the new simulation has settled, so
+    /// frames written by a load that failed stay pending until then.
+    /// Host work, so it runs under a wall-clock `fabric_decode` span
+    /// (the `download` span carries modelled port time only).
     fn redecode(&mut self) -> Result<(), DecodeError> {
         let _g = obs::span!("fabric_decode");
         obs::counter!("simboard_fabric_decodes_total").inc();
-        let model = FabricModel::decode(self.port.interpreter().memory())?;
-        let mut next = FabricSim::new(model)?;
+        let mem = self.port.interpreter().memory();
+        let mut written = vec![false; self.layout.tile_columns()];
+        self.layout
+            .mark_tile_columns(&mem.dirty_frames(), &mut written);
+        let prev = self.sim.as_ref().map(|sim| Prev {
+            model: sim.model(),
+            spans: &self.spans,
+            written: &written,
+        });
+        let decoded = fabric::decode_columns(&self.layout, mem, prev)?;
+        obs::counter!("simboard_fabric_tiles_decoded_total").add(decoded.tiles_read);
+        let mut next = FabricSim::compile(decoded.model);
         if let Some(prev) = &self.sim {
             next.carry_state_from(prev);
         }
@@ -65,6 +90,8 @@ impl SimBoard {
         }
         next.settle()?;
         self.sim = Some(next);
+        self.spans = decoded.spans;
+        self.port.interpreter_mut().memory_mut().clear_dirty();
         Ok(())
     }
 

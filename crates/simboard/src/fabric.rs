@@ -9,7 +9,6 @@
 //! flow→bitstream→device pipeline is correct end to end.
 
 use jbits::Layout;
-use std::collections::HashMap;
 use virtex::{
     ClbResource, ConfigMemory, Device, IobCoord, IobResource, MuxSetting, SliceId, SlicePin,
     SliceResource, TileCoord, Wire, WireKind,
@@ -108,64 +107,211 @@ impl FabricModel {
     /// ([`virtex::RoutingGraph::tile_pip`]), and bits past the tile's
     /// last PIP are skipped. Contention names the first doubly driven
     /// wire decoded.
+    ///
+    /// This is [`SimBoard`](crate::SimBoard)'s column re-read with every
+    /// column to read and no earlier model to copy from.
     pub fn decode(mem: &ConfigMemory) -> Result<FabricModel, DecodeError> {
-        let device = mem.device();
-        let layout = Layout::new(device);
-        let graph = layout.graph();
-        let clb = |t, s, r| layout.read_clb(mem, t, ClbResource::new(s, r)).bits();
-        let iob = |t, pad, r| layout.read_iob(mem, IobCoord::new(t, pad), r).as_bool();
-        let mut model = FabricModel {
-            device,
-            slices: Vec::new(),
-            iobs: Vec::new(),
-            pips: Vec::new(),
-        };
+        let layout = Layout::new(mem.device());
+        Ok(decode_columns(&layout, mem, None)?.model)
+    }
+}
 
-        for tile in layout.tiles_in_use(mem) {
-            if tile.is_clb(device) {
-                for slice in SliceId::ALL {
-                    model
-                        .slices
-                        .extend(decode_slice(tile, slice, |r| clb(tile, slice, r)));
-                }
-            } else {
-                for pad in 0..virtex::routing::PADS_PER_IOB as u8 {
-                    let inbuf = iob(tile, pad, IobResource::InputEnable);
-                    let outbuf = iob(tile, pad, IobResource::OutputEnable);
-                    if inbuf || outbuf {
-                        model.iobs.push(DecodedIob {
-                            tile,
-                            pad,
-                            inbuf,
-                            outbuf,
-                        });
-                    }
+/// Where each tile's pieces start in a model's `slices`, `iobs` and
+/// `pips`, for every tile in decode order ([`virtex::grid::clb_tiles`]
+/// then [`virtex::grid::iob_tiles`]) plus one end mark.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct TileSpans(Vec<[u32; 3]>);
+
+impl TileSpans {
+    /// Where the next tile's pieces start: the model's current lengths.
+    fn lens(model: &FabricModel) -> [u32; 3] {
+        let len = |n: usize| n as u32;
+        [
+            len(model.slices.len()),
+            len(model.iobs.len()),
+            len(model.pips.len()),
+        ]
+    }
+}
+
+/// An earlier model of the same device, where its tiles' pieces sit,
+/// and the tile columns (flagged by `col + 1`) written since it was
+/// decoded.
+pub(crate) struct Prev<'a> {
+    pub(crate) model: &'a FabricModel,
+    pub(crate) spans: &'a TileSpans,
+    pub(crate) written: &'a [bool],
+}
+
+/// What [`decode_columns`] returns.
+pub(crate) struct Decoded {
+    pub(crate) model: FabricModel,
+    pub(crate) spans: TileSpans,
+    /// Tiles whose window was read.
+    pub(crate) tiles_read: u64,
+}
+
+/// The one decoder. Reads the tiles in use of the columns `prev` flags
+/// as written (of every column without `prev`) and copies each other
+/// tile's pieces from `prev`'s model, so the model comes out in the
+/// order a whole-device read gives. Then checks contention and clock
+/// connectivity over all PIPs ([`connect`]).
+pub(crate) fn decode_columns(
+    layout: &Layout,
+    mem: &ConfigMemory,
+    prev: Option<Prev<'_>>,
+) -> Result<Decoded, DecodeError> {
+    let device = mem.device();
+    let graph = layout.graph();
+    let clb = |t, s, r| layout.read_clb(mem, t, ClbResource::new(s, r)).bits();
+    let iob = |t, pad, r| layout.read_iob(mem, IobCoord::new(t, pad), r).as_bool();
+    let capacity = |n: fn(&FabricModel) -> usize| prev.as_ref().map_or(0, |p| n(p.model));
+    let mut model = FabricModel {
+        device,
+        slices: Vec::with_capacity(capacity(|m| m.slices.len())),
+        iobs: Vec::with_capacity(capacity(|m| m.iobs.len())),
+        pips: Vec::with_capacity(capacity(|m| m.pips.len())),
+    };
+    let used = match &prev {
+        Some(p) => layout.tiles_in_use_in(mem, p.written),
+        None => layout.tiles_in_use(mem),
+    };
+    let mut used = used.into_iter().peekable();
+    let tile_count = prev.as_ref().map_or(0, |p| p.spans.0.len());
+    let mut spans = TileSpans(Vec::with_capacity(tile_count));
+    let mut tiles_read = 0;
+    // The first tile of the run of unwritten tiles whose pieces are
+    // still to be copied from `prev`, in one slice per vector.
+    let mut run = None;
+    let copy = |model: &mut FabricModel, p: &Prev<'_>, tiles: std::ops::Range<usize>| {
+        let ([s0, i0, p0], [s1, i1, p1]) = (p.spans.0[tiles.start], p.spans.0[tiles.end]);
+        let range = |a: u32, b: u32| a as usize..b as usize;
+        model
+            .slices
+            .extend_from_slice(&p.model.slices[range(s0, s1)]);
+        model.iobs.extend_from_slice(&p.model.iobs[range(i0, i1)]);
+        model.pips.extend_from_slice(&p.model.pips[range(p0, p1)]);
+    };
+    let tiles = virtex::grid::clb_tiles(device).chain(virtex::grid::iob_tiles(device));
+    for (k, tile) in tiles.enumerate() {
+        if let Some(p) = prev
+            .as_ref()
+            .filter(|p| !p.written[(tile.col + 1) as usize])
+        {
+            let first = *run.get_or_insert(k);
+            let (at, from, to) = (TileSpans::lens(&model), p.spans.0[first], p.spans.0[k]);
+            spans.0.push([0, 1, 2].map(|v| at[v] + to[v] - from[v]));
+            continue;
+        }
+        if let (Some(p), Some(first)) = (&prev, run.take()) {
+            copy(&mut model, p, first..k);
+        }
+        spans.0.push(TileSpans::lens(&model));
+        if used.next_if_eq(&tile).is_none() {
+            continue;
+        }
+        tiles_read += 1;
+        if tile.is_clb(device) {
+            for slice in SliceId::ALL {
+                model
+                    .slices
+                    .extend(decode_slice(tile, slice, |r| clb(tile, slice, r)));
+            }
+        } else {
+            for pad in 0..virtex::routing::PADS_PER_IOB as u8 {
+                let inbuf = iob(tile, pad, IobResource::InputEnable);
+                let outbuf = iob(tile, pad, IobResource::OutputEnable);
+                if inbuf || outbuf {
+                    model.iobs.push(DecodedIob {
+                        tile,
+                        pad,
+                        inbuf,
+                        outbuf,
+                    });
                 }
             }
-            let set = layout.set_pip_indices(mem, tile);
-            let pips = set.filter_map(|i| graph.tile_pip(tile, i));
-            model.pips.extend(pips.map(|p| (p.from, p.to)));
         }
+        let set = layout.set_pip_indices(mem, tile);
+        let pips = set.filter_map(|i| graph.tile_pip(tile, i));
+        model.pips.extend(pips.map(|p| (p.from, p.to)));
+    }
+    if let (Some(p), Some(first)) = (&prev, run) {
+        copy(&mut model, p, first..p.spans.0.len() - 1);
+    }
+    spans.0.push(TileSpans::lens(&model));
+    connect(&mut model)?;
+    Ok(Decoded {
+        model,
+        spans,
+        tiles_read,
+    })
+}
 
-        // Clock connectivity + contention check.
-        let mut driver_count: HashMap<Wire, u32> = HashMap::new();
-        for (_, to) in &model.pips {
-            *driver_count.entry(*to).or_insert(0) += 1;
+/// The global checks over all PIPs, on [`WireKeys`]: contention names
+/// the first PIP in model order whose destination has two drivers, and
+/// a slice is clocked when some PIP drives its CLK pin.
+fn connect(model: &mut FabricModel) -> Result<(), DecodeError> {
+    let keys = WireKeys::new(model.device);
+    let mut driven: Vec<u32> = model.pips.iter().map(|&(_, to)| keys.key(to)).collect();
+    driven.sort_unstable();
+    if driven.windows(2).any(|w| w[0] == w[1]) {
+        let drivers = |k: u32| {
+            let run = &driven[driven.partition_point(|&d| d < k)..];
+            run.iter().take_while(|&&d| d == k).count()
+        };
+        let (_, w) = (model.pips.iter())
+            .find(|&&(_, to)| drivers(keys.key(to)) > 1)
+            .expect("a repeated key is some PIP's destination");
+        return Err(DecodeError::Contention { wire: w.name() });
+    }
+    for s in &mut model.slices {
+        let clk = Wire::new(
+            s.tile,
+            WireKind::SlicePin {
+                slice: s.slice,
+                pin: SlicePin::Clk,
+            },
+        );
+        s.clocked = driven.binary_search(&keys.key(clk)).is_ok();
+    }
+    Ok(())
+}
+
+/// Dense integer wire keys for one device: the anchor tile's cell in
+/// the grid (IOB ring and corners included) times [`WireKind::SLOTS`],
+/// plus the kind's slot. Sorting and binary search over them stand in
+/// for hashing wires.
+#[derive(Debug, Clone, Copy)]
+struct WireKeys {
+    /// Grid rows and columns: the CLB rows and columns plus the ring.
+    rows: usize,
+    cols: usize,
+}
+
+impl WireKeys {
+    fn new(device: Device) -> WireKeys {
+        let g = device.geometry();
+        WireKeys {
+            rows: g.clb_rows + 2,
+            cols: g.clb_cols + 2,
         }
-        if let Some((_, w)) = model.pips.iter().find(|(_, to)| driver_count[to] > 1) {
-            return Err(DecodeError::Contention { wire: w.name() });
-        }
-        for s in &mut model.slices {
-            let clk = Wire::new(
-                s.tile,
-                WireKind::SlicePin {
-                    slice: s.slice,
-                    pin: SlicePin::Clk,
-                },
-            );
-            s.clocked = driver_count.contains_key(&clk);
-        }
-        Ok(model)
+    }
+
+    /// The key of `w`, or `None` for a wire off the grid or with an
+    /// out-of-range kind index, which no decoded wire is.
+    fn get(self, w: Wire) -> Option<u32> {
+        let row = usize::try_from(w.tile.row + 1)
+            .ok()
+            .filter(|&r| r < self.rows)?;
+        let col = usize::try_from(w.tile.col + 1)
+            .ok()
+            .filter(|&c| c < self.cols)?;
+        Some(((row * self.cols + col) * WireKind::SLOTS + w.kind.slot()?) as u32)
+    }
+
+    /// The key of a decoded wire.
+    fn key(self, w: Wire) -> u32 {
+        self.get(w).expect("a decoded wire lies on the grid")
     }
 }
 
@@ -202,16 +348,18 @@ fn decode_slice(
 }
 
 /// The running simulation of a decoded fabric, compiled to a dense
-/// netlist. [`FabricSim::new`] interns every wire the model touches (PIP
-/// ends, slice pins, input-buffered pads) into an array index once, so a
-/// settle pass costs `O(pads + slices + PIPs)` array reads and writes
-/// with no hashing and no allocation, and a settle runs at most
-/// `#PIPs + #slices + 2` passes.
+/// netlist. [`FabricSim::new`] numbers every wire the model touches (PIP
+/// ends, slice pins, input-buffered pads) by its rank among their sorted
+/// integer keys once, so a settle pass costs `O(pads + slices + PIPs)`
+/// array reads and writes with no hashing and no allocation, and a
+/// settle runs at most `#PIPs + #slices + 2` passes.
 #[derive(Debug, Clone)]
 pub struct FabricSim {
     model: FabricModel,
-    /// Dense index of every wire the model touches.
-    index: HashMap<Wire, u32>,
+    keys: WireKeys,
+    /// Sorted keys of every wire the model touches: a wire's index is
+    /// the position of its key.
+    wires: Vec<u32>,
     /// `(PadIn wire, model IOB)` for every input-buffered pad.
     pads: Vec<(u32, usize)>,
     /// Input pins of each model slice.
@@ -263,67 +411,84 @@ fn set(values: &mut [bool], w: u32, v: bool) -> bool {
 
 impl FabricSim {
     /// Compile `model` and start simulating; FFs take their INIT values
-    /// (the GSR behaviour on START).
+    /// (the GSR behaviour on START). Panics on a wire anchored off the
+    /// device's tile grid, which no decoded model holds.
     pub fn new(model: FabricModel) -> Result<FabricSim, DecodeError> {
-        let wires = 2 * model.pips.len() + 15 * model.slices.len() + model.iobs.len();
-        let mut index = HashMap::with_capacity(wires);
-        let mut intern = |w: Wire| {
-            let next = index.len() as u32;
-            *index.entry(w).or_insert(next)
+        let mut sim = FabricSim::compile(model);
+        sim.settle()?;
+        Ok(sim)
+    }
+
+    /// [`Self::new`] without the settle: every wire reads low until the
+    /// caller settles.
+    pub(crate) fn compile(model: FabricModel) -> FabricSim {
+        use SlicePin::*;
+        const PINS: [SlicePin; 15] = [F1, F2, F3, F4, G1, G2, G3, G4, CE, BX, BY, X, Y, XQ, YQ];
+        let keys = WireKeys::new(model.device);
+        let pin_key = |s: &DecodedSlice, pin| {
+            keys.key(Wire::new(
+                s.tile,
+                WireKind::SlicePin {
+                    slice: s.slice,
+                    pin,
+                },
+            ))
         };
+        let pad_in = |io: &DecodedIob| keys.key(Wire::new(io.tile, WireKind::PadIn(io.pad)));
+        let mut wires = Vec::with_capacity(2 * model.pips.len() + 15 * model.slices.len());
+        wires.extend(model.iobs.iter().filter(|io| io.inbuf).map(pad_in));
+        for s in &model.slices {
+            wires.extend(PINS.map(|pin| pin_key(s, pin)));
+        }
+        for &(from, to) in &model.pips {
+            wires.extend([keys.key(from), keys.key(to)]);
+        }
+        wires.sort_unstable();
+        wires.dedup();
+        let index = |k: u32| wires.binary_search(&k).expect("every key is listed") as u32;
         let pads = (model.iobs.iter().enumerate())
             .filter(|(_, io)| io.inbuf)
-            .map(|(k, io)| (intern(Wire::new(io.tile, WireKind::PadIn(io.pad))), k))
+            .map(|(k, io)| (index(pad_in(io)), k))
             .collect();
         let mut pins = Vec::with_capacity(model.slices.len());
         let mut outs = Vec::new();
         for (i, s) in model.slices.iter().enumerate() {
-            let mut pin = |pin| {
-                intern(Wire::new(
-                    s.tile,
-                    WireKind::SlicePin {
-                        slice: s.slice,
-                        pin,
-                    },
-                ))
-            };
-            use SlicePin::*;
+            let pin = |pin| index(pin_key(s, pin));
             pins.push(SlicePins {
-                f: [F1, F2, F3, F4].map(&mut pin),
-                g: [G1, G2, G3, G4].map(&mut pin),
+                f: [F1, F2, F3, F4].map(pin),
+                g: [G1, G2, G3, G4].map(pin),
                 ce: pin(CE),
                 bx: pin(BX),
                 by: pin(BY),
             });
             let drivers = [
-                (s.x_on, pin(X), Driver::LutF),
-                (s.y_on, pin(Y), Driver::LutG),
-                (s.ffx, pin(XQ), Driver::FfX),
-                (s.ffy, pin(YQ), Driver::FfY),
+                (s.x_on, X, Driver::LutF),
+                (s.y_on, Y, Driver::LutG),
+                (s.ffx, XQ, Driver::FfX),
+                (s.ffy, YQ, Driver::FfY),
             ];
             for (on, w, driver) in drivers {
                 if on {
-                    outs.push((w, i, driver));
+                    outs.push((pin(w), i, driver));
                 }
             }
         }
         let pips = (model.pips.iter())
-            .map(|&(from, to)| (intern(from), intern(to)))
+            .map(|&(from, to)| (index(keys.key(from)), index(keys.key(to))))
             .collect();
-        let mut sim = FabricSim {
+        FabricSim {
             pad_in: vec![false; model.iobs.len()],
             ff: model.slices.iter().map(|s| (s.init_x, s.init_y)).collect(),
-            values: vec![false; index.len()],
+            values: vec![false; wires.len()],
             scratch: Vec::new(),
             model,
-            index,
+            keys,
+            wires,
             pads,
             pins,
             outs,
             pips,
-        };
-        sim.settle()?;
-        Ok(sim)
+        }
     }
 
     /// The decoded model.
@@ -342,10 +507,9 @@ impl FabricSim {
 
     /// Read a pad's fabric-driven value (the board-visible output).
     pub fn get_pad(&self, tile: TileCoord, pad: u8) -> bool {
-        let out = Wire::new(tile, WireKind::PadOut(pad));
-        self.index
-            .get(&out)
-            .is_some_and(|&w| self.values[w as usize])
+        let out = self.keys.get(Wire::new(tile, WireKind::PadOut(pad)));
+        out.and_then(|k| self.wires.binary_search(&k).ok())
+            .is_some_and(|w| self.values[w])
     }
 
     fn lut_out(&self, i: usize, g: bool) -> bool {
@@ -464,16 +628,13 @@ impl FabricSim {
     /// reconfiguration on real silicon (only the rewritten columns lose
     /// state; here we conservatively keep state per surviving slice).
     pub fn carry_state_from(&mut self, prev: &FabricSim) {
-        let prev_idx: HashMap<(TileCoord, SliceId), usize> = prev
-            .model
-            .slices
-            .iter()
-            .enumerate()
-            .map(|(i, s)| ((s.tile, s.slice), i))
-            .collect();
+        let slice = |s: &DecodedSlice| (s.tile, s.slice);
+        let mut prev_idx: Vec<_> = prev.model.slices.iter().map(slice).zip(0..).collect();
+        // A decoded model lists its slices in this order already.
+        prev_idx.sort_unstable();
         for (i, s) in self.model.slices.iter().enumerate() {
-            if let Some(&j) = prev_idx.get(&(s.tile, s.slice)) {
-                self.ff[i] = prev.ff[j];
+            if let Ok(j) = prev_idx.binary_search_by_key(&slice(s), |&(k, _)| k) {
+                self.ff[i] = prev.ff[prev_idx[j].1];
             }
         }
     }

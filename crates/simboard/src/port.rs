@@ -153,27 +153,38 @@ impl SelectMap {
         match draw {
             FaultKind::Clean => self.interp.feed(bs),
             FaultKind::Drop => Err(ConfigError::TransferFault),
-            FaultKind::Corrupt => {
-                // Land the corruption inside a frame this load wrote, so
-                // a retry of the same stream is guaranteed to heal it:
-                // the dirty byproduct of the feed is the victim pool.
-                self.interp.memory_mut().clear_dirty();
-                self.interp.feed(bs)?;
-                let written = self.interp.memory().dirty_frames();
-                if let Some(f) = &mut self.fault {
-                    if !written.is_empty() {
-                        let frame = written[f.rng.gen_range(0..written.len())];
-                        let bit = f
-                            .rng
-                            .gen_range(0..self.interp.memory().geometry().frame_bits());
-                        let mem = self.interp.memory_mut();
-                        let old = mem.get_bit(frame, bit);
-                        mem.set_bit(frame, bit, !old);
-                    }
-                }
-                Ok(())
+            FaultKind::Corrupt => self.corrupt(|interp| interp.feed(bs)),
+        }
+    }
+
+    /// Run `apply`, then flip one bit of a frame it wrote. Landing the
+    /// corruption inside this load's frames guarantees a retry of the
+    /// same stream heals it: the frames the load marks dirty are the
+    /// victim pool. Frames already dirty before the load (written by an
+    /// earlier load that failed, and not yet re-decoded by the board)
+    /// stay marked either way.
+    fn corrupt<T>(
+        &mut self,
+        apply: impl FnOnce(&mut Interpreter) -> Result<T, ConfigError>,
+    ) -> Result<T, ConfigError> {
+        let pending = self.interp.memory().dirty_frames();
+        self.interp.memory_mut().clear_dirty();
+        let applied = apply(&mut self.interp);
+        let written = self.interp.memory().dirty_frames();
+        let mem = self.interp.memory_mut();
+        for &frame in &pending {
+            mem.mark_frame_dirty(frame);
+        }
+        let out = applied?;
+        if let Some(f) = &mut self.fault {
+            if !written.is_empty() {
+                let frame = written[f.rng.gen_range(0..written.len())];
+                let bit = f.rng.gen_range(0..mem.geometry().frame_bits());
+                let old = mem.get_bit(frame, bit);
+                mem.set_bit(frame, bit, !old);
             }
         }
+        Ok(out)
     }
 
     /// Push a compressed wire container through the port, decoding it
@@ -214,21 +225,7 @@ impl SelectMap {
             }
             FaultKind::Corrupt => {
                 obs::counter!("simboard_faults_injected_total", "kind" => "corrupt").inc();
-                self.interp.memory_mut().clear_dirty();
-                let stats = apply(&mut self.interp)?;
-                let written = self.interp.memory().dirty_frames();
-                if let Some(f) = &mut self.fault {
-                    if !written.is_empty() {
-                        let frame = written[f.rng.gen_range(0..written.len())];
-                        let bit = f
-                            .rng
-                            .gen_range(0..self.interp.memory().geometry().frame_bits());
-                        let mem = self.interp.memory_mut();
-                        let old = mem.get_bit(frame, bit);
-                        mem.set_bit(frame, bit, !old);
-                    }
-                }
-                Ok(stats)
+                self.corrupt(apply)
             }
         }
     }

@@ -3,7 +3,7 @@
 //! The JPG tool's inputs are the files the Foundation flow leaves behind:
 //!
 //! * **XDL** — the ASCII dump of a placed-and-routed design database
-//!   (`xdl -ncd2xdl` output). [`parse`]/[`print`] round-trip the subset
+//!   (`xdl -ncd2xdl` output). [`parse`]/[`print()`] round-trip the subset
 //!   the paper's Section 3.2.2 describes: `design`, `inst` (with
 //!   `placed`/`unplaced` state and `cfg` attribute strings, including
 //!   `#LUT:` equations), and `net` records with `outpin`/`inpin`/`pip`
