@@ -165,6 +165,10 @@ fn advance(state: u16, bits: usize) -> u16 {
     result
 }
 
+/// Shortest run [`Crc16::update_slice`] splits into four lanes: below
+/// it, stitching the lanes costs more than the chain it breaks.
+const LANE_MIN_WORDS: usize = 64;
+
 /// A running 16-bit configuration CRC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct Crc16 {
@@ -218,14 +222,36 @@ impl Crc16 {
 
     /// Accumulate a run of writes to the same register — the streaming
     /// spelling of [`Self::update`] for multi-word payloads (FDRI frame
-    /// data), keeping the register value local across the whole slice.
+    /// data). A run of at least 64 words is split into four quarters
+    /// whose CRCs are computed side by side, the last three from a zero
+    /// register, and stitched back together with [`Self::combine`]'s
+    /// identity: four independent chains instead of one, with the same
+    /// result as feeding the words one by one.
     pub fn update_slice(&mut self, reg: Register, words: &[u32]) {
         let addr = reg.addr() as u16;
-        let mut v = self.value;
-        for &w in words {
-            v = addr_step(word_step(v, w), addr);
+        let step = |v, w| addr_step(word_step(v, w), addr);
+        if words.len() < LANE_MIN_WORDS {
+            self.value = words.iter().fold(self.value, |v, &w| step(v, w));
+            return;
         }
-        self.value = v;
+        let q = words.len() / 4;
+        let (a, rest) = words.split_at(q);
+        let (b, rest) = rest.split_at(q);
+        let (c, d) = rest.split_at(q);
+        let mut lanes = [self.value, 0, 0, 0];
+        for i in 0..q {
+            lanes = [
+                step(lanes[0], a[i]),
+                step(lanes[1], b[i]),
+                step(lanes[2], c[i]),
+                step(lanes[3], d[i]),
+            ];
+        }
+        lanes[3] = d[q..].iter().fold(lanes[3], |v, &w| step(v, w));
+        let bits = q * BITS_PER_UPDATE;
+        let v = advance(lanes[0], bits) ^ lanes[1];
+        let v = advance(v, bits) ^ lanes[2];
+        self.value = advance(v, d.len() * BITS_PER_UPDATE) ^ lanes[3];
     }
 
     /// Append a section that was CRC'd independently from a zero register.
@@ -346,6 +372,24 @@ mod tests {
         let mut empty = Crc16::from_value(0xABCD);
         empty.update_slice(Register::Fdri, &[]);
         assert_eq!(empty.value(), 0xABCD, "empty slice is the identity");
+    }
+
+    #[test]
+    fn update_slice_matches_per_word_updates_at_every_length_and_lane_remainder() {
+        let words: Vec<u32> = (0..300u32)
+            .map(|i| i.wrapping_mul(0x9E37_79B9).rotate_left(i % 32) ^ 0x5A5A_0F0F)
+            .collect();
+        for len in 0..=words.len() {
+            for (reg, start) in [(Register::Fdri, 0), (Register::Far, 0xBEEF)] {
+                let mut sliced = Crc16::from_value(start);
+                sliced.update_slice(reg, &words[..len]);
+                let mut serial = Crc16::from_value(start);
+                for &w in &words[..len] {
+                    serial.update(reg, w);
+                }
+                assert_eq!(sliced.value(), serial.value(), "{len} words to {reg:?}");
+            }
+        }
     }
 
     #[test]

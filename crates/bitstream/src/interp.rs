@@ -295,6 +295,13 @@ impl Interpreter {
         self.started
     }
 
+    /// The SelectMAP abort sequence: the packet processor drops sync,
+    /// so the rest of a failed stream is ignored until the next sync
+    /// word. Frames the stream already wrote stay written.
+    pub fn abort(&mut self) {
+        self.synced = false;
+    }
+
     /// Loading statistics so far.
     pub fn stats(&self) -> LoadStats {
         self.stats
@@ -404,9 +411,7 @@ impl Interpreter {
         // CRC first: the silicon accumulates as words arrive, before the
         // register side effects.
         if crc_covered(reg) {
-            for &w in payload {
-                self.crc.update(reg, w);
-            }
+            self.crc.update_slice(reg, payload);
         }
         match reg {
             Register::Crc => {

@@ -52,6 +52,7 @@ pub const REQUIRED_METRICS: &[&str] = &[
     "simboard_downloads_total",
     "simboard_download_bytes_total",
     "simboard_fabric_decodes_total",
+    "simboard_fabric_settle_evals_total",
     "simboard_fabric_settle_passes_total",
     "simboard_fabric_tiles_decoded_total",
     "wire_encodes_total",

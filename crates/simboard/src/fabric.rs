@@ -350,9 +350,15 @@ fn decode_slice(
 /// The running simulation of a decoded fabric, compiled to a dense
 /// netlist. [`FabricSim::new`] numbers every wire the model touches (PIP
 /// ends, slice pins, input-buffered pads) by its rank among their sorted
-/// integer keys once, so a settle pass costs `O(pads + slices + PIPs)`
-/// array reads and writes with no hashing and no allocation, and a
-/// settle runs at most `#PIPs + #slices + 2` passes.
+/// integer keys once, and lists each wire's readers, so a settle costs
+/// array reads and writes with no hashing and no allocation.
+///
+/// Settling is event-driven: a driver (a pad, a slice output or a PIP)
+/// runs only when a wire it reads, or the pad drive or flip-flop it
+/// copies, has changed since it last ran. A settle's cost is therefore
+/// proportional to the fan-out of what changed, not to the size of the
+/// model, while its passes, values and errors are those of re-running
+/// every driver on every pass (see [`Self::settle`]).
 #[derive(Debug, Clone)]
 pub struct FabricSim {
     model: FabricModel,
@@ -360,22 +366,44 @@ pub struct FabricSim {
     /// Sorted keys of every wire the model touches: a wire's index is
     /// the position of its key.
     wires: Vec<u32>,
-    /// `(PadIn wire, model IOB)` for every input-buffered pad.
-    pads: Vec<(u32, usize)>,
     /// Input pins of each model slice.
     pins: Vec<SlicePins>,
-    /// Slice outputs in model order: `(wire, model slice, driver)`.
-    outs: Vec<(u32, usize, Driver)>,
-    /// Enabled PIPs as `(from, to)` wire indices.
-    pips: Vec<(u32, u32)>,
+    /// Every driver as `(wire it drives, what drives it)`: the
+    /// input-buffered pads in model order, then the slice outputs in
+    /// model order, then the enabled PIPs in model order.
+    drivers: Vec<(u32, Driver)>,
+    /// Drivers of each model slice's FFX and FFY outputs.
+    ff_drivers: Vec<[Option<u32>; 2]>,
+    /// `readers[reader_at[w]..reader_at[w + 1]]` are the drivers that
+    /// read wire `w`.
+    reader_at: Vec<u32>,
+    readers: Vec<u32>,
+    /// Drivers of wires that have more than one driver. Another driver
+    /// may overwrite what such a driver wrote, so each one runs on every
+    /// pass, in driver order.
+    shared: Vec<u32>,
+    /// Drivers due to run.
+    agenda: Agenda,
     /// External value applied to each model IOB.
     pad_in: Vec<bool>,
     /// FF state per model slice: (X, Y).
     ff: Vec<(bool, bool)>,
     /// Wire values after the last settle.
     values: Vec<bool>,
-    /// Values computed by a settle phase before any is written.
+    /// The drivers a settle phase runs, and the values they compute
+    /// before any is written.
+    batch: Vec<u32>,
     scratch: Vec<bool>,
+    work: SettleWork,
+}
+
+/// Work done by a simulation's settles since it was compiled.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SettleWork {
+    /// Settle passes run.
+    pub passes: u64,
+    /// Drivers evaluated.
+    pub evals: u64,
 }
 
 /// A slice's input pins as wire indices.
@@ -388,13 +416,68 @@ struct SlicePins {
     by: u32,
 }
 
-/// What drives a slice output wire.
+/// What drives a wire: a model IOB's external drive, a model slice's
+/// LUT or flip-flop, or a PIP's source wire.
 #[derive(Debug, Clone, Copy)]
 enum Driver {
-    LutF,
-    LutG,
-    FfX,
-    FfY,
+    Pad(u32),
+    LutF(u32),
+    LutG(u32),
+    FfX(u32),
+    FfY(u32),
+    Pip(u32),
+}
+
+impl Driver {
+    /// The wires this driver reads, given the slices' input pins.
+    fn inputs<'a>(&'a self, pins: &'a [SlicePins]) -> &'a [u32] {
+        match self {
+            Driver::LutF(i) => &pins[*i as usize].f,
+            Driver::LutG(i) => &pins[*i as usize].g,
+            Driver::Pip(from) => std::slice::from_ref(from),
+            Driver::Pad(_) | Driver::FfX(_) | Driver::FfY(_) => &[],
+        }
+    }
+}
+
+/// The drivers queued to run, one list per settle phase (pads, slice
+/// outputs, PIPs), each driver at most once.
+#[derive(Debug, Clone)]
+struct Agenda {
+    queued: Vec<bool>,
+    todo: [Vec<u32>; 3],
+    /// Index of the first slice output and of the first PIP in the
+    /// simulation's `drivers`.
+    phases: [u32; 2],
+}
+
+impl Agenda {
+    /// Every driver queued.
+    fn all(drivers: usize, phases: [u32; 2]) -> Agenda {
+        let [outs, pips] = phases.map(|p| p as usize);
+        let ids = |r: std::ops::Range<usize>| r.map(|d| d as u32).collect();
+        Agenda {
+            queued: vec![true; drivers],
+            todo: [ids(0..outs), ids(outs..pips), ids(pips..drivers)],
+            phases,
+        }
+    }
+
+    fn push(&mut self, d: u32) {
+        if !std::mem::replace(&mut self.queued[d as usize], true) {
+            let phase = self.phases.iter().filter(|&&p| d >= p).count();
+            self.todo[phase].push(d);
+        }
+    }
+
+    /// Move `phase`'s queue into `batch`, unqueued.
+    fn take(&mut self, phase: usize, batch: &mut Vec<u32>) {
+        batch.clear();
+        std::mem::swap(batch, &mut self.todo[phase]);
+        for &d in batch.iter() {
+            self.queued[d as usize] = false;
+        }
+    }
 }
 
 /// Evaluate a LUT whose inputs `A1..A4` sit on wires `pins`.
@@ -402,11 +485,6 @@ fn lut(values: &[bool], pins: &[u32; 4], table: u16) -> bool {
     let idx = (pins.iter().enumerate())
         .fold(0, |acc, (i, &w)| acc | usize::from(values[w as usize]) << i);
     (table >> idx) & 1 == 1
-}
-
-/// Write `v` to wire `w`; whether the value changed.
-fn set(values: &mut [bool], w: u32, v: bool) -> bool {
-    std::mem::replace(&mut values[w as usize], v) != v
 }
 
 impl FabricSim {
@@ -419,8 +497,8 @@ impl FabricSim {
         Ok(sim)
     }
 
-    /// [`Self::new`] without the settle: every wire reads low until the
-    /// caller settles.
+    /// [`Self::new`] without the settle: every wire reads low and every
+    /// driver is due to run until the caller settles.
     pub(crate) fn compile(model: FabricModel) -> FabricSim {
         use SlicePin::*;
         const PINS: [SlicePin; 15] = [F1, F2, F3, F4, G1, G2, G3, G4, CE, BX, BY, X, Y, XQ, YQ];
@@ -446,13 +524,14 @@ impl FabricSim {
         wires.sort_unstable();
         wires.dedup();
         let index = |k: u32| wires.binary_search(&k).expect("every key is listed") as u32;
-        let pads = (model.iobs.iter().enumerate())
-            .filter(|(_, io)| io.inbuf)
-            .map(|(k, io)| (index(pad_in(io)), k))
+        let mut drivers: Vec<(u32, Driver)> = (model.iobs.iter().zip(0..))
+            .filter(|(io, _)| io.inbuf)
+            .map(|(io, k)| (index(pad_in(io)), Driver::Pad(k)))
             .collect();
+        let outs = drivers.len() as u32;
         let mut pins = Vec::with_capacity(model.slices.len());
-        let mut outs = Vec::new();
-        for (i, s) in model.slices.iter().enumerate() {
+        let mut ff_drivers = Vec::with_capacity(model.slices.len());
+        for (s, i) in model.slices.iter().zip(0..) {
             let pin = |pin| index(pin_key(s, pin));
             pins.push(SlicePins {
                 f: [F1, F2, F3, F4].map(pin),
@@ -461,33 +540,70 @@ impl FabricSim {
                 bx: pin(BX),
                 by: pin(BY),
             });
-            let drivers = [
-                (s.x_on, X, Driver::LutF),
-                (s.y_on, Y, Driver::LutG),
-                (s.ffx, XQ, Driver::FfX),
-                (s.ffy, YQ, Driver::FfY),
+            let mut ff = [None; 2];
+            let slice_drivers = [
+                (s.x_on, X, Driver::LutF(i), None),
+                (s.y_on, Y, Driver::LutG(i), None),
+                (s.ffx, XQ, Driver::FfX(i), Some(0)),
+                (s.ffy, YQ, Driver::FfY(i), Some(1)),
             ];
-            for (on, w, driver) in drivers {
+            for (on, w, driver, ff_slot) in slice_drivers {
                 if on {
-                    outs.push((pin(w), i, driver));
+                    if let Some(k) = ff_slot {
+                        ff[k] = Some(drivers.len() as u32);
+                    }
+                    drivers.push((pin(w), driver));
                 }
             }
+            ff_drivers.push(ff);
         }
-        let pips = (model.pips.iter())
-            .map(|&(from, to)| (index(keys.key(from)), index(keys.key(to))))
+        let phases = [outs, drivers.len() as u32];
+        drivers.extend(
+            (model.pips.iter())
+                .map(|&(from, to)| (index(keys.key(to)), Driver::Pip(index(keys.key(from))))),
+        );
+        // Readers of each wire, bucketed by wire, and the drivers of
+        // wires driven more than once.
+        let mut reader_at = vec![0u32; wires.len() + 1];
+        let mut driven = vec![0u32; wires.len()];
+        for (w, driver) in &drivers {
+            driven[*w as usize] += 1;
+            for &r in driver.inputs(&pins) {
+                reader_at[r as usize + 1] += 1;
+            }
+        }
+        for w in 0..wires.len() {
+            reader_at[w + 1] += reader_at[w];
+        }
+        let mut readers = vec![0u32; reader_at[wires.len()] as usize];
+        let mut fill = reader_at.clone();
+        for ((_, driver), d) in drivers.iter().zip(0..) {
+            for &r in driver.inputs(&pins) {
+                readers[fill[r as usize] as usize] = d;
+                fill[r as usize] += 1;
+            }
+        }
+        let shared = (drivers.iter().zip(0..))
+            .filter(|&(&(w, _), _)| driven[w as usize] > 1)
+            .map(|(_, d)| d)
             .collect();
         FabricSim {
             pad_in: vec![false; model.iobs.len()],
             ff: model.slices.iter().map(|s| (s.init_x, s.init_y)).collect(),
             values: vec![false; wires.len()],
+            agenda: Agenda::all(drivers.len(), phases),
+            batch: Vec::new(),
             scratch: Vec::new(),
+            work: SettleWork::default(),
             model,
             keys,
             wires,
-            pads,
             pins,
-            outs,
-            pips,
+            drivers,
+            ff_drivers,
+            reader_at,
+            readers,
+            shared,
         }
     }
 
@@ -496,12 +612,27 @@ impl FabricSim {
         &self.model
     }
 
+    /// Work done by this simulation's settles so far.
+    pub fn work(&self) -> SettleWork {
+        self.work
+    }
+
     /// Drive a pad from outside. A pad the model does not use ignores
     /// the drive.
     pub fn set_pad(&mut self, tile: TileCoord, pad: u8, value: bool) {
         let iobs = &self.model.iobs;
-        if let Some(k) = iobs.iter().position(|io| io.tile == tile && io.pad == pad) {
-            self.pad_in[k] = value;
+        let Some(k) = iobs.iter().position(|io| io.tile == tile && io.pad == pad) else {
+            return;
+        };
+        if std::mem::replace(&mut self.pad_in[k], value) != value {
+            let pads = &self.drivers[..self.agenda.phases[0] as usize];
+            let k = k as u32;
+            if let Some(d) = pads
+                .iter()
+                .position(|&(_, d)| matches!(d, Driver::Pad(j) if j == k))
+            {
+                self.agenda.push(d as u32);
+            }
         }
     }
 
@@ -521,50 +652,90 @@ impl FabricSim {
         }
     }
 
+    /// The value `driver` puts on its wire now.
+    fn eval(&self, driver: Driver) -> bool {
+        match driver {
+            Driver::Pad(k) => self.pad_in[k as usize],
+            Driver::LutF(i) => self.lut_out(i as usize, false),
+            Driver::LutG(i) => self.lut_out(i as usize, true),
+            Driver::FfX(i) => self.ff[i as usize].0,
+            Driver::FfY(i) => self.ff[i as usize].1,
+            Driver::Pip(from) => self.values[from as usize],
+        }
+    }
+
+    /// Set slice `i`'s flip-flops, queueing the outputs that change.
+    fn set_ff(&mut self, i: usize, next: (bool, bool)) {
+        let prev = std::mem::replace(&mut self.ff[i], next);
+        let [x, y] = self.ff_drivers[i];
+        for (d, changed) in [(x, prev.0 != next.0), (y, prev.1 != next.1)] {
+            if let (Some(d), true) = (d, changed) {
+                self.agenda.push(d);
+            }
+        }
+    }
+
     /// Propagate combinational logic to a fixed point. Each pass drives
-    /// the pads, then every slice output (all read before any is
-    /// written), then every PIP (likewise).
+    /// the pads, then the slice outputs (all read before any is
+    /// written), then the PIPs (likewise), and a settle fails with
+    /// [`DecodeError::Oscillation`] after `#pips + #slices + 2` passes
+    /// that all changed some wire.
+    ///
+    /// A phase runs only the drivers due: those that read a wire changed
+    /// since they last ran (by an earlier phase of this pass or by a
+    /// phase of the previous one, as the whole-pass order sees it),
+    /// those whose pad drive or flip-flop changed, and the drivers of
+    /// wires with more than one driver. Any other driver would write the
+    /// value its wire already holds, so values, pass counts and errors
+    /// are those of running every driver on every pass, and a settle
+    /// costs the fan-out of the wires it changes.
     pub fn settle(&mut self) -> Result<(), DecodeError> {
         // Upper bound on combinational depth: every pass fixes at least
         // one more wire, so #pips + #slices + 2 passes suffice for any
         // loop-free circuit.
         let max_passes = self.model.pips.len() + self.model.slices.len() + 2;
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut passes = 0;
+        let (mut batch, mut scratch) = (
+            std::mem::take(&mut self.batch),
+            std::mem::take(&mut self.scratch),
+        );
+        let (mut passes, mut evals) = (0, 0);
         let settled = loop {
             if passes == max_passes {
                 break false;
             }
             passes += 1;
+            for &d in &self.shared {
+                self.agenda.push(d);
+            }
             let mut changed = false;
-            for &(w, k) in &self.pads {
-                changed |= set(&mut self.values, w, self.pad_in[k]);
-            }
-            scratch.clear();
-            scratch.extend(self.outs.iter().map(|&(_, i, driver)| match driver {
-                Driver::LutF => self.lut_out(i, false),
-                Driver::LutG => self.lut_out(i, true),
-                Driver::FfX => self.ff[i].0,
-                Driver::FfY => self.ff[i].1,
-            }));
-            for (&(w, _, _), &v) in self.outs.iter().zip(&scratch) {
-                changed |= set(&mut self.values, w, v);
-            }
-            scratch.clear();
-            scratch.extend(
-                self.pips
-                    .iter()
-                    .map(|&(from, _)| self.values[from as usize]),
-            );
-            for (&(_, to), &v) in self.pips.iter().zip(&scratch) {
-                changed |= set(&mut self.values, to, v);
+            for phase in 0..3 {
+                self.agenda.take(phase, &mut batch);
+                if !self.shared.is_empty() {
+                    batch.sort_unstable();
+                }
+                evals += batch.len();
+                scratch.clear();
+                scratch.extend(batch.iter().map(|&d| self.eval(self.drivers[d as usize].1)));
+                for (&d, &v) in batch.iter().zip(&scratch) {
+                    let w = self.drivers[d as usize].0 as usize;
+                    if std::mem::replace(&mut self.values[w], v) != v {
+                        changed = true;
+                        let readers = self.reader_at[w] as usize..self.reader_at[w + 1] as usize;
+                        for &r in &self.readers[readers] {
+                            self.agenda.push(r);
+                        }
+                    }
+                }
             }
             if !changed {
                 break true;
             }
         };
-        self.scratch = scratch;
+        (self.batch, self.scratch) = (batch, scratch);
+        self.work.passes += passes as u64;
+        self.work.evals += evals as u64;
         obs::counter!("simboard_fabric_settle_passes_total").add(passes as u64);
+        obs::counter!("simboard_fabric_settle_evals_total").add(evals as u64);
         if settled {
             Ok(())
         } else {
@@ -575,7 +746,8 @@ impl FabricSim {
     /// One rising edge of the global clock.
     pub fn clock(&mut self) -> Result<(), DecodeError> {
         self.settle()?;
-        for (i, s) in self.model.slices.iter().enumerate() {
+        for i in 0..self.model.slices.len() {
+            let s = &self.model.slices[i];
             if !(s.clocked && (s.ffx || s.ffy)) {
                 continue;
             }
@@ -595,7 +767,8 @@ impl FabricSim {
             } else {
                 self.lut_out(i, true)
             };
-            self.ff[i] = (if s.ffx { dx } else { x }, if s.ffy { dy } else { y });
+            let next = (if s.ffx { dx } else { x }, if s.ffy { dy } else { y });
+            self.set_ff(i, next);
         }
         self.settle()
     }
@@ -632,17 +805,19 @@ impl FabricSim {
         let mut prev_idx: Vec<_> = prev.model.slices.iter().map(slice).zip(0..).collect();
         // A decoded model lists its slices in this order already.
         prev_idx.sort_unstable();
-        for (i, s) in self.model.slices.iter().enumerate() {
-            if let Ok(j) = prev_idx.binary_search_by_key(&slice(s), |&(k, _)| k) {
-                self.ff[i] = prev.ff[prev_idx[j].1];
+        for i in 0..self.model.slices.len() {
+            let key = slice(&self.model.slices[i]);
+            if let Ok(j) = prev_idx.binary_search_by_key(&key, |&(k, _)| k) {
+                self.set_ff(i, prev.ff[prev_idx[j].1]);
             }
         }
     }
 
     /// Reset all FFs to their INIT values (board-level GSR).
     pub fn reset(&mut self) {
-        for (i, s) in self.model.slices.iter().enumerate() {
-            self.ff[i] = (s.init_x, s.init_y);
+        for i in 0..self.model.slices.len() {
+            let s = &self.model.slices[i];
+            self.set_ff(i, (s.init_x, s.init_y));
         }
         let _ = self.settle();
     }

@@ -22,6 +22,6 @@ pub mod multiboard;
 pub mod port;
 
 pub use board::SimBoard;
-pub use fabric::{DecodeError, FabricModel, FabricSim};
+pub use fabric::{DecodeError, FabricModel, FabricSim, SettleWork};
 pub use multiboard::MultiBoard;
 pub use port::{FaultInjector, FaultKind, SelectMap, SELECTMAP_HZ};

@@ -128,7 +128,8 @@ impl SelectMap {
         self.fault.as_ref()
     }
 
-    /// Push a bitstream through the port.
+    /// Push a bitstream through the port. A load that fails leaves the
+    /// port unsynchronised, ready for the next stream.
     pub fn load(&mut self, bs: &Bitstream) -> Result<(), ConfigError> {
         self.bytes_loaded += bs.byte_len() as u64;
         self.downloads += 1;
@@ -150,11 +151,23 @@ impl SelectMap {
                 obs::counter!("simboard_faults_injected_total", "kind" => "corrupt").inc();
             }
         }
-        match draw {
+        let loaded = match draw {
             FaultKind::Clean => self.interp.feed(bs),
             FaultKind::Drop => Err(ConfigError::TransferFault),
             FaultKind::Corrupt => self.corrupt(|interp| interp.feed(bs)),
+        };
+        self.abort_on_error(loaded)
+    }
+
+    /// A load that failed mid-stream leaves the packet processor
+    /// synchronised and expecting the rest of the stream, so the host
+    /// aborts it: the next stream's sync word then starts it afresh.
+    /// Frames the failed stream wrote stay written and dirty.
+    fn abort_on_error<T>(&mut self, loaded: Result<T, ConfigError>) -> Result<T, ConfigError> {
+        if loaded.is_err() {
+            self.interp.abort();
         }
+        loaded
     }
 
     /// Run `apply`, then flip one bit of a frame it wrote. Landing the
@@ -217,7 +230,7 @@ impl SelectMap {
                 }
             })
         };
-        match draw {
+        let loaded = match draw {
             FaultKind::Clean => apply(&mut self.interp),
             FaultKind::Drop => {
                 obs::counter!("simboard_faults_injected_total", "kind" => "drop").inc();
@@ -227,7 +240,8 @@ impl SelectMap {
                 obs::counter!("simboard_faults_injected_total", "kind" => "corrupt").inc();
                 self.corrupt(apply)
             }
-        }
+        };
+        self.abort_on_error(loaded)
     }
 
     /// Cumulative bytes pushed through the port.
@@ -415,6 +429,30 @@ mod tests {
             port.load_wire(&[0xAB; 64]),
             Err(ConfigError::InvalidConfiguration(_))
         ));
+    }
+
+    #[test]
+    fn a_cut_stream_leaves_the_port_ready_for_the_next_load() {
+        let mut mem = ConfigMemory::new(Device::XCV50);
+        for f in 0..mem.frame_count() {
+            mem.frame_mut(f)[1] = 0x5A00 + f as u32;
+        }
+        let bs = full_bitstream(&mem);
+        let words = bs.words();
+        // Cut inside the frame data: the stream fails in sync, with its
+        // FDRI payload truncated.
+        let cut = Bitstream::from_words(words[..words.len() / 2].to_vec());
+        let mut port = SelectMap::new(Device::XCV50);
+        assert!(port.load(&cut).is_err(), "a cut stream fails");
+        port.load(&bs).unwrap();
+        assert_eq!(port.interpreter().memory(), &mem);
+
+        // The same holds for a container whose stream fails mid-apply.
+        let enc = wire::encode(Device::XCV50, &cut, None);
+        let mut wired = SelectMap::new(Device::XCV50);
+        assert!(wired.load_wire(&enc.bytes).is_err());
+        wired.load(&bs).unwrap();
+        assert_eq!(wired.interpreter().memory(), &mem);
     }
 
     #[test]

@@ -35,14 +35,14 @@ pub const FNV64_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// byte order SelectMAP uses on the wire, so host and device agree
 /// byte-for-byte.
 pub fn frame_digest64(words: &[u32]) -> u64 {
-    let mut h = FNV64_OFFSET;
-    for &w in words {
-        for b in w.to_be_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV64_PRIME);
-        }
-    }
-    h
+    words.iter().fold(FNV64_OFFSET, |h, &w| fold_word(h, w))
+}
+
+/// Fold one word's big-endian bytes into an FNV-1a/64 state.
+#[inline(always)]
+fn fold_word(h: u64, w: u32) -> u64 {
+    let fold = |h: u64, b: u32| (h ^ u64::from(b & 0xFF)).wrapping_mul(FNV64_PRIME);
+    fold(fold(fold(fold(h, w >> 24), w >> 16), w >> 8), w)
 }
 
 /// FNV-1a/64 over a digest sequence (big-endian bytes) — the region
@@ -82,7 +82,22 @@ impl RegionDigests {
             words.len(),
             frame_words
         );
-        let frames: Vec<u64> = words.chunks(frame_words).map(frame_digest64).collect();
+        // Each digest is one serial multiply chain, so four frames are
+        // folded side by side, word by word, and the rest one by one.
+        let mut frames = Vec::with_capacity(words.len() / frame_words);
+        let quads = words.chunks_exact(4 * frame_words);
+        let rest = quads.remainder();
+        for quad in quads {
+            let [mut h0, mut h1, mut h2, mut h3] = [FNV64_OFFSET; 4];
+            for i in 0..frame_words {
+                h0 = fold_word(h0, quad[i]);
+                h1 = fold_word(h1, quad[frame_words + i]);
+                h2 = fold_word(h2, quad[2 * frame_words + i]);
+                h3 = fold_word(h3, quad[3 * frame_words + i]);
+            }
+            frames.extend([h0, h1, h2, h3]);
+        }
+        frames.extend(rest.chunks(frame_words).map(frame_digest64));
         let rollup = rollup_digest64(&frames);
         RegionDigests { frames, rollup }
     }
@@ -139,6 +154,33 @@ mod tests {
         assert_eq!(d.frames[1], frame_digest64(&words[12..]));
         assert_eq!(d.rollup, rollup_digest64(&d.frames));
         assert_eq!(d.port_bytes(), 2 * 8 + 8);
+    }
+
+    #[test]
+    fn region_digests_match_per_frame_digests_at_every_length() {
+        // FNV-1a/64 one byte at a time, as the format defines it.
+        let reference = |frame: &[u32]| {
+            let bytes = frame.iter().flat_map(|w| w.to_be_bytes());
+            bytes.fold(FNV64_OFFSET, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(FNV64_PRIME)
+            })
+        };
+        let words: Vec<u32> = (0..300u32)
+            .map(|i| i.wrapping_mul(0x9E37_79B9).rotate_left(i % 32))
+            .collect();
+        for frame_words in [1, 3, 12, 25] {
+            // Every whole number of frames in 0..=300 words, so every
+            // remainder of frames past a multiple of four.
+            for len in (0..=words.len()).step_by(frame_words) {
+                let d = RegionDigests::from_words(&words[..len], frame_words);
+                let serial: Vec<u64> = words[..len].chunks(frame_words).map(reference).collect();
+                for frame in words[..len].chunks(frame_words) {
+                    assert_eq!(frame_digest64(frame), reference(frame));
+                }
+                assert_eq!(d.frames, serial, "{len} words, flr {frame_words}");
+                assert_eq!(d.rollup, rollup_digest64(&serial));
+            }
+        }
     }
 
     #[test]

@@ -4,14 +4,14 @@
 //! kind of configuration change it meets and, after each step, demands
 //! that the board's model equal a whole-device `FabricModel::decode` of
 //! its memory, and that its simulation run like a freshly decoded one.
-//! It also pins how many tiles the board read over the sequence: a
+//! It also pins how many tiles the board read over the sequence (a
 //! board that re-read the whole device per download reads several times
-//! more.
+//! more), and how many settle passes and driver evaluations its
+//! simulations ran.
 //!
 //! The test is alone in its binary, so the process-wide counters it
 //! reads move only with its own board.
 
-use bitstream::{Command, Packet, Register};
 use cadflow::netlist::Netlist;
 use fleet::ServingLibrary;
 use jbits::{Layout, Xhwif};
@@ -25,6 +25,14 @@ use virtex::{ClbResource, IobCoord, LutId, SliceResource};
 /// re-decodes. Re-reading every tile in use at each re-decode reads
 /// 1 986.
 const TILES_DECODED: u64 = 604;
+
+/// Settle passes over the whole sequence, which running every driver on
+/// every pass gives too: a settle that skips drivers must not move it.
+const SETTLE_PASSES: u64 = 13_376;
+
+/// Drivers the settles evaluate over the whole sequence. Running every
+/// driver on every pass of the same settles evaluates 2 659 761.
+const SETTLE_EVALS: u64 = 71_097;
 
 /// The board's fabric against a fresh decode of its memory: the same
 /// model, and the same pads and flip-flops when both simulations start
@@ -221,14 +229,6 @@ fn redecode_equals_a_whole_device_decode_after_every_step() {
         "frames were written"
     );
     assert_eq!(board.fabric().unwrap().model(), &model, "no re-decode ran");
-    // The port is still synchronised mid-stream, so the host aborts the
-    // failed configuration with a DESYNCH before the next stream.
-    let desynch = [
-        Packet::write1(Register::Cmd, 1).encode(),
-        Command::Desynch.code(),
-    ];
-    let port = board.port_mut().interpreter_mut();
-    port.feed_words(&desynch).unwrap();
     let seed = (0..)
         .find(|&s| FaultInjector::new(1.0, s).draw() == FaultKind::Corrupt)
         .unwrap();
@@ -247,5 +247,12 @@ fn redecode_equals_a_whole_device_decode_after_every_step() {
         tiles, TILES_DECODED,
         "tiles read over {} re-decodes (a whole-device read of each: {})",
         t.decodes, t.whole_device
+    );
+    let passes = counter("simboard_fabric_settle_passes_total");
+    assert_eq!(passes, SETTLE_PASSES, "settle passes over the sequence");
+    let evals = counter("simboard_fabric_settle_evals_total");
+    assert_eq!(
+        evals, SETTLE_EVALS,
+        "drivers evaluated over {passes} passes"
     );
 }

@@ -17,7 +17,7 @@ use simboard::fabric::DecodedSlice;
 use simboard::{DecodeError, FabricModel, FabricSim, SimBoard};
 use std::collections::{HashMap, VecDeque};
 use virtex::{
-    ClbResource, ConfigMemory, Device, IobResource, LutId, MuxSetting, Pip, ResourceValue,
+    ClbResource, ConfigMemory, Device, Dir, IobResource, LutId, MuxSetting, Pip, ResourceValue,
     RoutingGraph, SliceId, SlicePin, SliceResource, TileCoord, Wire, WireKind,
 };
 
@@ -537,4 +537,80 @@ fn a_gated_ring_oscillator_fails_and_recovers_in_lockstep() {
     let model = FabricModel::decode(&mem).expect("the loop decodes");
     let errors = lockstep(&model, 7, 40, "gated ring oscillator");
     assert!(errors > 0 && errors < 40, "{errors} of 40 steps failed");
+}
+
+/// A chain of exactly `n` PIPs on one single-line track of `device`,
+/// from pad 0 of a top-ring tile to pad 0 of a right-ring tile: down
+/// into CLB row 0, then a snake of `rows` rows `width` tiles wide whose
+/// last row runs east off the array. Returns the chain and the two ring
+/// tiles.
+fn pad_chain(device: Device, n: usize) -> (Vec<Pip>, TileCoord, TileCoord) {
+    let g = device.geometry();
+    let cols = g.clb_cols;
+    // A snake of `rows` rows (odd, so the last runs east) from column
+    // `col` costs 2 + (rows - 1) * width + cols - col PIPs.
+    let (rows, width, col) = (1..g.clb_rows)
+        .step_by(2)
+        .flat_map(|rows| (1..=cols).map(move |width| (rows, width)))
+        .find_map(|(rows, width)| {
+            let col = (2 + (rows - 1) * width + cols).checked_sub(n)?;
+            (col + width <= cols).then_some((rows, width, col))
+        })
+        .expect("the array fits the chain");
+    let mut dirs = vec![Dir::South];
+    for row in 0..rows - 1 {
+        let across = if row % 2 == 0 { Dir::East } else { Dir::West };
+        dirs.extend(std::iter::repeat_n(across, width - 1));
+        dirs.push(Dir::South);
+    }
+    dirs.extend(std::iter::repeat_n(Dir::East, cols - col));
+    let graph = RoutingGraph::new(device);
+    let start = TileCoord::new(-1, col as i32);
+    let (mut at, mut tile) = (Wire::new(start, WireKind::PadIn(0)), start);
+    let mut chain = Vec::with_capacity(n);
+    for dir in dirs {
+        let next = Wire::new(tile, WireKind::Single { dir, idx: 0 });
+        chain.push(graph.find_pip(at, next).expect("the track turns there"));
+        let (dr, dc) = dir.delta();
+        (at, tile) = (next, TileCoord::new(tile.row + dr, tile.col + dc));
+    }
+    let out = Wire::new(tile, WireKind::PadOut(0));
+    chain.push(graph.find_pip(at, out).expect("the track ends on a pad"));
+    assert_eq!(chain.len(), n);
+    (chain, start, tile)
+}
+
+#[test]
+fn a_pad_toggle_down_a_chain_costs_evaluations_linear_in_its_length() {
+    let device = Device::XCV300;
+    let mut evals = Vec::new();
+    for n in [16, 64, 256] {
+        let (chain, ring_in, ring_out) = pad_chain(device, n);
+        let mut jb = Jbits::new(device);
+        connect(&mut jb, &mut HashMap::new(), &chain);
+        let on = ResourceValue::bit(true);
+        jb.set_iob(ring_in, 0, IobResource::InputEnable, on);
+        jb.set_iob(ring_out, 0, IobResource::OutputEnable, on);
+        let model = FabricModel::decode(jb.memory()).expect("the chain decodes");
+        assert_eq!(model.pips.len(), n);
+        lockstep(&model, n as u64, 12, &format!("chain of {n} PIPs"));
+
+        let mut sim = FabricSim::new(model).unwrap();
+        let before = sim.work();
+        sim.set_pad(ring_in, 0, true);
+        sim.settle().unwrap();
+        assert!(sim.get_pad(ring_out, 0), "the toggle reaches the end");
+        let (passes, toggle_evals) = (
+            sim.work().passes - before.passes,
+            sim.work().evals - before.evals,
+        );
+        // One hop per pass and a quiet last pass, as when every driver
+        // runs on every pass; only the pad and each PIP run, once each.
+        assert_eq!(passes, n as u64 + 1, "chain of {n}");
+        assert_eq!(toggle_evals, n as u64 + 1, "chain of {n}");
+        evals.push(toggle_evals);
+    }
+    for pair in evals.windows(2) {
+        assert!(pair[1] <= 4 * pair[0] + 4, "evaluations {evals:?}");
+    }
 }
