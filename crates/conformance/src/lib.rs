@@ -50,7 +50,7 @@ pub use harness::{run_case, run_project_case, CaseOutcome, Failure, Schedule};
 pub use mutation::{self_check, SeededBug};
 pub use reloc_trio::{reloc_case, RelocOutcome, RELOC_DEVICES};
 pub use verify_trio::{verify_case, VerifyCaseOutcome};
-pub use wire_trio::{wire_case, WireOutcome, WIRE_DEVICES};
+pub use wire_trio::{wire_case, wire_content, WireContent, WireOutcome, WIRE_DEVICES};
 
 /// Run `case` on every seed in `seeds` and return the passing seeds'
 /// outcomes. Stops after five failures, then panics naming every

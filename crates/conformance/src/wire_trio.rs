@@ -23,7 +23,7 @@
 //! Any failure reproduces from its printed seed.
 
 use bitstream::bitgen::{self, FrameRange};
-use bitstream::{full_bitstream, Interpreter};
+use bitstream::{full_bitstream, Bitstream, Interpreter};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use virtex::{BlockType, ConfigMemory, Device};
@@ -168,9 +168,29 @@ fn check_corruption(
     Ok(())
 }
 
-/// One seeded wire-format case.
-pub fn wire_case(seed: u64) -> Result<WireOutcome, String> {
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x317E_F0E3_A7E0_11D1);
+/// One seeded case's content: a partial and the base image its
+/// incremental encode deltas against.
+#[derive(Debug, Clone)]
+pub struct WireContent {
+    /// The device the partial is for.
+    pub device: Device,
+    /// The base image: a random column span stamped at a random density.
+    pub base: ConfigMemory,
+    /// The partial carrying sparse word edits over that span.
+    pub partial: Bitstream,
+}
+
+/// The content [`wire_case`] encodes for `seed`, for callers that pin
+/// or measure the encoder on it.
+pub fn wire_content(seed: u64) -> WireContent {
+    content(&mut case_rng(seed))
+}
+
+fn case_rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ 0x317E_F0E3_A7E0_11D1)
+}
+
+fn content(rng: &mut StdRng) -> WireContent {
     let device = WIRE_DEVICES[rng.gen_range(0..WIRE_DEVICES.len())];
     let pat = rng.gen_range(0..u64::MAX);
     // Sweep the content spectrum: 0 = all-zero frames (pure RLE), 100 =
@@ -183,15 +203,15 @@ pub fn wire_case(seed: u64) -> Result<WireOutcome, String> {
     let cols: Vec<usize> = (start..start + width).collect();
 
     // Base image: the span stamped at the case density.
-    let mut base_mem = ConfigMemory::new(device);
-    stamp(&mut base_mem, &cols, pat, density);
-    base_mem.clear_dirty();
+    let mut base = ConfigMemory::new(device);
+    stamp(&mut base, &cols, pat, density);
+    base.clear_dirty();
 
     // Variant image: sparse word edits over the span — the incremental
     // reality: a frame ships whole when one word changes, so each
     // carried frame is mostly base content and the delta modes get
     // something to win on.
-    let mut variant_mem = base_mem.clone();
+    let mut variant_mem = base.clone();
     {
         let geom = variant_mem.geometry().clone();
         let mut edited = false;
@@ -220,6 +240,21 @@ pub fn wire_case(seed: u64) -> Result<WireOutcome, String> {
     }
     let runs = bitgen::coalesce_frames(variant_mem.dirty_frames());
     let partial = bitgen::partial_bitstream(&variant_mem, &runs);
+    WireContent {
+        device,
+        base,
+        partial,
+    }
+}
+
+/// One seeded wire-format case.
+pub fn wire_case(seed: u64) -> Result<WireOutcome, String> {
+    let mut rng = case_rng(seed);
+    let WireContent {
+        device,
+        base: base_mem,
+        partial,
+    } = content(&mut rng);
 
     // Check 1: base-free round trip is byte-identical.
     let enc = wire::encode(device, &partial, None);

@@ -496,11 +496,8 @@ impl Backend for RealBackend<'_> {
         // The region now verifiably runs the variant: drive, clock, read.
         let req = &self.requests[payload as usize];
         let cat = self.catalog(region);
-        for (name, v) in &req.drive {
-            if let Some(io) = cat.pad(name) {
-                board.board.set_pad(io, *v);
-            }
-        }
+        let drives = (req.drive.iter()).filter_map(|(name, v)| Some((cat.pad(name)?, *v)));
+        board.board.set_pads(drives);
         if req.reset {
             board.board.reset();
         }

@@ -247,7 +247,7 @@ impl ShardTracer {
     /// Consume the tracer, yielding its spans (recording order) and
     /// drop count.
     pub fn into_spans(self) -> (Vec<TraceSpan>, u64) {
-        (self.ring.into_iter().collect(), self.dropped)
+        (Vec::from(self.ring), self.dropped)
     }
 }
 
@@ -272,15 +272,17 @@ impl Trace {
             dropped += d;
         }
         // Spans are wide (inline field array); sorting them in place is
-        // memory-bound on the element moves. Sort lightweight indices
-        // by the key instead and apply the permutation with one pass.
-        // `(shard, seq)` is unique, so unstable sorting is total.
-        let mut order: Vec<u32> = (0..spans.len() as u32).collect();
-        order.sort_unstable_by_key(|&i| {
-            let s = &spans[i as usize];
-            (s.start_ns, s.shard, s.seq)
-        });
-        let spans = order.into_iter().map(|i| spans[i as usize]).collect();
+        // memory-bound on the element moves. Sort each span's key with
+        // its index instead and apply the permutation with one pass.
+        // The keys sit beside each other, so no comparison reaches into
+        // a span, and a shard's ring arrives nearly in key order, which
+        // the run-adaptive stable sort merges rather than re-sorts.
+        // `(shard, seq)` is unique, so the order is total.
+        let mut keys: Vec<(u64, u32, u64, u32)> = (spans.iter().zip(0..))
+            .map(|(s, i)| (s.start_ns, s.shard, s.seq, i))
+            .collect();
+        keys.sort();
+        let spans = keys.iter().map(|k| spans[k.3 as usize]).collect();
         Trace { spans, dropped }
     }
 

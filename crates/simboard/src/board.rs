@@ -102,9 +102,22 @@ impl SimBoard {
 
     /// Drive an input pad.
     pub fn set_pad(&mut self, io: IobCoord, value: bool) {
-        self.pad_drives.insert((io.tile, io.pad), value);
-        if let Some(sim) = &mut self.sim {
-            sim.set_pad(io.tile, io.pad, value);
+        self.set_pads([(io, value)]);
+    }
+
+    /// Drive several input pads, then settle the fabric once: the
+    /// drives land together, as pins driven in the same instant do. No
+    /// drives, no settle.
+    pub fn set_pads(&mut self, drives: impl IntoIterator<Item = (IobCoord, bool)>) {
+        let mut driven = false;
+        for (io, value) in drives {
+            driven = true;
+            self.pad_drives.insert((io.tile, io.pad), value);
+            if let Some(sim) = &mut self.sim {
+                sim.set_pad(io.tile, io.pad, value);
+            }
+        }
+        if let (true, Some(sim)) = (driven, &mut self.sim) {
             let _ = sim.settle();
         }
     }

@@ -248,7 +248,9 @@ impl<'a> StreamingDecoder<'a> {
 /// [`StreamingDecoder`] directly.
 pub fn decode_full(bytes: &[u8], base: Option<&dyn FrameSource>) -> Result<Vec<u32>, WireError> {
     let mut dec = StreamingDecoder::new(bytes)?;
-    let mut out = Vec::with_capacity(dec.total_words());
+    // The header's word count is unchecked input: reserve no more than
+    // one section ahead of what the sections actually carry.
+    let mut out = Vec::with_capacity(dec.total_words().min(SECTION_MAX_WORDS));
     while let Some(chunk) = dec.next_chunk(base)? {
         out.extend_from_slice(chunk);
     }

@@ -19,7 +19,7 @@
 //! guarantee.
 
 use crate::{
-    fnv1a_bytes, fnv1a_words, huff, rle, FrameSource, Mode, WireStats, HEADER_BYTES, MAGIC,
+    fnv1a_bytes, fnv1a_sections, huff, rle, FrameSource, Mode, WireStats, HEADER_BYTES, MAGIC,
     SECTION_MAX_WORDS,
 };
 use bitstream::packet::Op;
@@ -65,31 +65,40 @@ pub fn encode(device: Device, partial: &Bitstream, base: Option<&dyn FrameSource
         }]
     });
 
+    let sections: Vec<(usize, usize, usize, usize)> =
+        spans.iter().flat_map(|span| chunks(span, flr)).collect();
+    let checksums = fnv1a_sections(
+        &(sections.iter())
+            .map(|&(start, len, _, _)| &words[start..start + len])
+            .collect::<Vec<_>>(),
+    );
+
     let mut stats = WireStats {
         decoded_bytes: words.len() * 4,
         ..WireStats::default()
     };
     let mut body = Vec::new();
-    let mut sections = 0usize;
-    for span in &spans {
-        for (chunk_start, chunk_len, start_frame, delta_words) in chunks(span, flr) {
-            let chunk = &words[chunk_start..chunk_start + chunk_len];
-            let (mode, payload) = best_mode(chunk, start_frame, delta_words, flr, base);
+    let mut picker = Picker::default();
+    let mut delta_buf = Vec::new();
+    for (&(chunk_start, chunk_len, start_frame, delta_words), checksum) in
+        sections.iter().zip(checksums)
+    {
+        let chunk = &words[chunk_start..chunk_start + chunk_len];
+        let deltaed = (delta_words > 0
+            && delta_into(chunk, start_frame, delta_words, flr, base, &mut delta_buf))
+        .then_some(&delta_buf[..]);
+        let mode = picker.section(&mut body, chunk, deltaed, |mode, payload_len| {
             let delta_words = if mode.needs_base() { delta_words } else { 0 };
-            debug_assert!(chunk_len < 1 << 24);
-            body.extend_from_slice(&(((mode as u32) << 24) | chunk_len as u32).to_be_bytes());
-            body.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-            body.extend_from_slice(&(start_frame as u32).to_be_bytes());
-            body.extend_from_slice(&(delta_words as u32).to_be_bytes());
-            body.extend_from_slice(&fnv1a_words(chunk).to_be_bytes());
-            body.extend_from_slice(&payload);
-            while body.len() % 4 != 0 {
-                body.push(0);
-            }
-            sections += 1;
-            stats.mode_counts[mode as usize] += 1;
-        }
+            [
+                payload_len,
+                start_frame as u32,
+                delta_words as u32,
+                checksum,
+            ]
+        });
+        stats.mode_counts[mode as usize] += 1;
     }
+    let sections = sections.len();
 
     let mut bytes = Vec::with_capacity(HEADER_BYTES + body.len());
     bytes.extend_from_slice(&MAGIC);
@@ -217,73 +226,133 @@ fn chunks(span: &Span, flr: usize) -> Vec<(usize, usize, usize, usize)> {
     out
 }
 
-/// Try every applicable mode for one chunk and keep the smallest
-/// payload (ties break toward the simpler mode).
-fn best_mode(
-    chunk: &[u32],
-    start_frame: usize,
-    delta_words: usize,
-    flr: usize,
-    base: Option<&dyn FrameSource>,
-) -> (Mode, Vec<u8>) {
-    let mut best_mode = Mode::Raw;
-    let mut best: Vec<u8> = Vec::with_capacity(chunk.len() * 4);
-    for &w in chunk {
-        best.extend_from_slice(&w.to_be_bytes());
-    }
-
-    let mut rle_bytes = Vec::new();
-    rle::encode(chunk, &mut rle_bytes);
-    if rle_bytes.len() < best.len() {
-        best = rle_bytes.clone();
-        best_mode = Mode::Rle;
-    }
-    let mut huffed = Vec::new();
-    if huff::encode(&rle_bytes, &mut huffed).is_some() && huffed.len() < best.len() {
-        best = huffed;
-        best_mode = Mode::HuffRle;
-    }
-
-    if delta_words > 0 {
-        if let Some(deltaed) = delta(chunk, start_frame, delta_words, flr, base) {
-            let mut drle = Vec::new();
-            rle::encode(&deltaed, &mut drle);
-            if drle.len() < best.len() {
-                best = drle.clone();
-                best_mode = Mode::DeltaRle;
-            }
-            let mut dhuff = Vec::new();
-            if huff::encode(&drle, &mut dhuff).is_some() && dhuff.len() < best.len() {
-                best = dhuff;
-                best_mode = Mode::HuffDeltaRle;
-            }
-        }
-    }
-    (best_mode, best)
+/// Picks and writes the cheapest payload of one section, pricing every
+/// mode exactly before it writes any.
+///
+/// The RLE token streams are built once per section (once more for the
+/// delta of an incremental section) into reused buffers. Raw costs
+/// `4·n` bytes and RLE its token count; a Huffman mode costs
+/// [`huff::TABLE_BYTES`] plus its coded bits, from the token histogram
+/// and the code lengths, and is not even planned when
+/// [`huff::min_coded_bytes`] already reaches the best size so far. A
+/// later mode in the order Raw, Rle, HuffRle, DeltaRle, HuffDeltaRle
+/// wins only when strictly smaller, so ties go to the simpler mode.
+/// Only the winner's payload is written.
+#[derive(Default)]
+pub(crate) struct Picker {
+    tokens: Vec<u8>,
+    delta_tokens: Vec<u8>,
 }
 
-/// XOR the leading `delta_words` of `chunk` against the base frames
-/// starting at `start_frame`; trailing words (the pad frame) pass
-/// through. `None` when the base cannot supply every needed frame.
-fn delta(
+/// The best mode so far, its payload size and, for a Huffman mode, its
+/// code.
+type Best = (Mode, usize, Option<huff::Code>);
+
+impl Picker {
+    /// Append one section of `chunk` to `body` and return its mode: the
+    /// mode/span word, the header words `fields` gives for the chosen
+    /// mode and payload length, the payload, and zero padding to a word
+    /// boundary. `deltaed` is the chunk XORed against its base frames
+    /// when the delta modes apply (see [`delta_into`]).
+    pub(crate) fn section<const N: usize>(
+        &mut self,
+        body: &mut Vec<u8>,
+        chunk: &[u32],
+        deltaed: Option<&[u32]>,
+        fields: impl FnOnce(Mode, u32) -> [u32; N],
+    ) -> Mode {
+        debug_assert!(chunk.len() < 1 << 24);
+        let hdr = body.len();
+        body.resize(hdr + 4 * (1 + N), 0);
+        let mode = self.write(chunk, deltaed, body);
+        let payload_len = (body.len() - hdr - 4 * (1 + N)) as u32;
+        let span = ((mode as u32) << 24) | chunk.len() as u32;
+        let header = std::iter::once(span).chain(fields(mode, payload_len));
+        for (slot, field) in body[hdr..].chunks_exact_mut(4).zip(header) {
+            slot.copy_from_slice(&field.to_be_bytes());
+        }
+        body.resize(body.len().next_multiple_of(4), 0);
+        mode
+    }
+
+    /// Append the cheapest payload of `chunk` to `out` and return its
+    /// mode.
+    fn write(&mut self, chunk: &[u32], deltaed: Option<&[u32]>, out: &mut Vec<u8>) -> Mode {
+        let mut best: Best = (Mode::Raw, 4 * chunk.len(), None);
+        self.tokens.clear();
+        rle::encode(chunk, &mut self.tokens);
+        price(Mode::Rle, Mode::HuffRle, &self.tokens, &mut best);
+        if let Some(deltaed) = deltaed {
+            self.delta_tokens.clear();
+            rle::encode(deltaed, &mut self.delta_tokens);
+            price(
+                Mode::DeltaRle,
+                Mode::HuffDeltaRle,
+                &self.delta_tokens,
+                &mut best,
+            );
+        }
+        let (mode, _, code) = best;
+        let tokens = if mode.needs_base() {
+            &self.delta_tokens
+        } else {
+            &self.tokens
+        };
+        match code {
+            Some(code) => code.write(tokens, out),
+            None if mode == Mode::Raw => {
+                for &w in chunk {
+                    out.extend_from_slice(&w.to_be_bytes());
+                }
+            }
+            None => out.extend_from_slice(tokens),
+        }
+        mode
+    }
+}
+
+/// Price one token stream as `plain` and as `coded` (its Huffman form)
+/// against `best`.
+fn price(plain: Mode, coded: Mode, tokens: &[u8], best: &mut Best) {
+    if tokens.len() < best.1 {
+        *best = (plain, tokens.len(), None);
+    }
+    if huff::min_coded_bytes(tokens.len()) >= best.1 {
+        return;
+    }
+    if let Some(code) = huff::Code::new(&huff::histogram(tokens)) {
+        if code.coded_bytes() < best.1 {
+            *best = (coded, code.coded_bytes(), Some(code));
+        }
+    }
+}
+
+/// Write into `out` the chunk with its leading `delta_words` XORed
+/// against the base frames starting at `start_frame`; trailing words
+/// (the pad frame) pass through. `false` when the base cannot supply
+/// every needed frame.
+fn delta_into(
     chunk: &[u32],
     start_frame: usize,
     delta_words: usize,
     flr: usize,
     base: Option<&dyn FrameSource>,
-) -> Option<Vec<u32>> {
-    let base = base?;
-    if base.frame_words() != flr {
-        return None;
-    }
-    let mut out = chunk.to_vec();
+    out: &mut Vec<u32>,
+) -> bool {
+    let Some(base) = base.filter(|b| b.frame_words() == flr) else {
+        return false;
+    };
+    out.clear();
+    out.extend_from_slice(chunk);
     for (k, frame_chunk) in out[..delta_words].chunks_mut(flr).enumerate() {
-        let bf = base.frame(start_frame + k)?;
+        let Some(bf) = base.frame(start_frame + k) else {
+            return false;
+        };
         for (w, &b) in frame_chunk.iter_mut().zip(bf) {
             *w ^= b;
         }
     }
-    Some(out)
+    true
 }
 
 #[cfg(test)]

@@ -12,9 +12,12 @@
 //!
 //! Codes are canonical — assigned in (length, symbol) order — so the
 //! table is just lengths, and encode/decode agree byte-for-byte across
-//! platforms. The builder caps code length at 15; inputs skewed enough
-//! to need deeper codes simply return `None` and the caller keeps the
-//! plain RLE section (compression is best-effort, correctness is not).
+//! platforms. The builder caps code length at 15; for inputs skewed
+//! enough to need deeper codes [`Code::new`] returns `None` and the
+//! caller keeps the plain RLE section (compression is best-effort,
+//! correctness is not). A [`Code`] knows its exact coded size before it
+//! writes a bit, so the encoder prices a Huffman section without
+//! producing it.
 
 use crate::WireError;
 
@@ -24,40 +27,86 @@ pub const TABLE_BYTES: usize = 128 + 4;
 /// Longest canonical code length the nibble-packed table can express.
 pub const MAX_CODE_LEN: u32 = 15;
 
-/// Huffman-code `src`, appending table + count + bits to `out`.
-/// Returns `None` (leaving `out` untouched) when the code cannot be
-/// built within [`MAX_CODE_LEN`] or the input is empty.
-pub fn encode(src: &[u8], out: &mut Vec<u8>) -> Option<()> {
-    if src.is_empty() || src.len() > u32::MAX as usize {
-        return None;
-    }
+/// Byte histogram of `src`: what a [`Code`] is built from.
+pub fn histogram(src: &[u8]) -> [u64; 256] {
     let mut freq = [0u64; 256];
     for &b in src {
         freq[b as usize] += 1;
     }
-    let lens = code_lengths(&freq)?;
-    let codes = canonical_codes(&lens);
+    freq
+}
 
-    for pair in 0..128 {
-        out.push(((lens[2 * pair] as u8) << 4) | lens[2 * pair + 1] as u8);
+/// The least coded size, table included, that any code gives `n`
+/// source bytes: every symbol costs at least one bit. A caller that
+/// already has something no larger skips building the code at all.
+pub fn min_coded_bytes(n: usize) -> usize {
+    TABLE_BYTES + n.div_ceil(8)
+}
+
+/// A canonical Huffman code for one source, sized before any bit is
+/// written.
+#[derive(Debug, Clone)]
+pub struct Code {
+    lens: [u32; 256],
+    coded_bytes: usize,
+}
+
+impl Code {
+    /// The code for a source with byte histogram `freq`, or `None` when
+    /// the source is empty or longer than the `u32` count field, or the
+    /// code needs lengths beyond [`MAX_CODE_LEN`].
+    pub fn new(freq: &[u64; 256]) -> Option<Code> {
+        let n: u64 = freq.iter().sum();
+        if n == 0 || n > u32::MAX as u64 {
+            return None;
+        }
+        let lens = code_lengths(freq)?;
+        let bits: u64 = (freq.iter().zip(&lens)).map(|(&f, &l)| f * l as u64).sum();
+        Some(Code {
+            lens,
+            coded_bytes: TABLE_BYTES + bits.div_ceil(8) as usize,
+        })
     }
-    out.extend_from_slice(&(src.len() as u32).to_be_bytes());
 
-    let mut acc: u32 = 0;
-    let mut nbits: u32 = 0;
-    for &b in src {
-        let (code, len) = codes[b as usize];
-        acc = (acc << len) | code;
-        nbits += len;
+    /// Exact size of [`Code::write`]'s output, table included.
+    pub fn coded_bytes(&self) -> usize {
+        self.coded_bytes
+    }
+
+    /// Append table + count + bits for `src` to `out`. `src` must be the
+    /// source whose histogram built this code.
+    pub fn write(&self, src: &[u8], out: &mut Vec<u8>) {
+        let lens = &self.lens;
+        let codes = canonical_codes(lens);
+        let start = out.len();
+        out.reserve(self.coded_bytes);
+        for pair in 0..128 {
+            out.push(((lens[2 * pair] as u8) << 4) | lens[2 * pair + 1] as u8);
+        }
+        out.extend_from_slice(&(src.len() as u32).to_be_bytes());
+
+        // Whole 32-bit words leave the accumulator at once; codes are at
+        // most 15 bits, so fewer than 47 bits are ever pending.
+        let mut acc: u64 = 0;
+        let mut nbits: u32 = 0;
+        for &b in src {
+            let (code, len) = codes[b as usize];
+            acc = (acc << len) | code as u64;
+            nbits += len;
+            if nbits >= 32 {
+                nbits -= 32;
+                out.extend_from_slice(&((acc >> nbits) as u32).to_be_bytes());
+            }
+        }
         while nbits >= 8 {
             nbits -= 8;
             out.push((acc >> nbits) as u8);
         }
+        if nbits > 0 {
+            out.push((acc << (8 - nbits)) as u8);
+        }
+        debug_assert_eq!(out.len() - start, self.coded_bytes);
     }
-    if nbits > 0 {
-        out.push((acc << (8 - nbits)) as u8);
-    }
-    Some(())
 }
 
 /// Decode a Huffman-coded region, appending the source bytes to `out`.
@@ -112,7 +161,9 @@ pub fn decode(coded: &[u8], abs: usize, out: &mut Vec<u8>) -> Result<usize, Wire
 
     let bits = &coded[TABLE_BYTES..];
     let mut bit = 0usize;
-    out.reserve(count);
+    // Every symbol costs at least one bit, so a count beyond eight per
+    // coded byte can only fail; reserve no more than the bits can carry.
+    out.reserve(count.min(8 * bits.len()));
     for _ in 0..count {
         let mut code = 0u32;
         let mut len = 0usize;
@@ -142,71 +193,100 @@ pub fn decode(coded: &[u8], abs: usize, out: &mut Vec<u8>) -> Result<usize, Wire
 }
 
 /// Huffman code lengths for `freq`, or `None` when the optimal code
-/// exceeds [`MAX_CODE_LEN`]. Deterministic: ties merge lowest-weight,
-/// then oldest node first.
+/// exceeds [`MAX_CODE_LEN`].
+///
+/// Each step merges the two lightest live nodes. The leaves are sorted
+/// once by (weight, symbol), and merged nodes queue up in creation
+/// order, which is also weight order, so the lightest node is always at
+/// the front of one of the two queues. Ties are deterministic: a merged
+/// node goes before a leaf of equal weight, and among merged nodes of
+/// equal weight the newest goes first. The code-length table, and so
+/// every container byte, depends on this order.
 fn code_lengths(freq: &[u64; 256]) -> Option<[u32; 256]> {
-    // Nodes: 0..256 are leaves, higher are merges.
-    let mut weight = Vec::with_capacity(512);
-    let mut parent = vec![usize::MAX; 512];
-    let mut live: Vec<usize> = Vec::new();
-    for (sym, &f) in freq.iter().enumerate() {
-        weight.push(f);
-        if f > 0 {
-            live.push(sym);
-        }
-    }
-    if live.is_empty() {
-        return None;
-    }
-    if live.len() == 1 {
-        let mut lens = [0u32; 256];
-        lens[live[0]] = 1;
-        return Some(lens);
-    }
-    // Repeatedly merge the two smallest live nodes. (sym/node index is
-    // the deterministic tiebreak via the stable sort below.)
-    while live.len() > 1 {
-        live.sort_by_key(|&n| weight[n]);
-        let a = live[0];
-        let b = live[1];
-        let node = weight.len();
-        weight.push(weight[a] + weight[b]);
-        parent.push(usize::MAX);
-        parent[a] = node;
-        parent[b] = node;
-        live.splice(0..2, [node]);
-    }
+    let mut leaves: Vec<u16> = (0..256u16).filter(|&s| freq[s as usize] > 0).collect();
     let mut lens = [0u32; 256];
-    for sym in 0..256 {
-        if freq[sym] == 0 {
-            continue;
+    match leaves.len() {
+        0 => return None,
+        1 => {
+            lens[leaves[0] as usize] = 1;
+            return Some(lens);
         }
-        let mut depth = 0;
-        let mut n = sym;
-        while parent[n] != usize::MAX {
-            n = parent[n];
-            depth += 1;
+        _ => {}
+    }
+    leaves.sort_unstable_by_key(|&s| (freq[s as usize], s));
+
+    // Nodes 0..256 are the symbols' leaves; merges number from 256 on.
+    let mut weight = [0u64; 511];
+    weight[..256].copy_from_slice(freq);
+    let mut parent = [0u16; 511];
+    let mut merged = [0u16; 255];
+    let (mut next_leaf, mut head, mut tail) = (0usize, 0usize, 0usize);
+    let root = 256 + leaves.len() - 2;
+    for node in 256..=root {
+        let mut take = || {
+            let leaf = leaves.get(next_leaf).map(|&s| weight[s as usize]);
+            if head < tail && leaf.is_none_or(|w| weight[merged[head] as usize] <= w) {
+                // The newest of the equal-weight run at the head: take
+                // it and close the gap behind the older ones.
+                let w = weight[merged[head] as usize];
+                let mut last = head;
+                while last + 1 < tail && weight[merged[last + 1] as usize] == w {
+                    last += 1;
+                }
+                let n = merged[last];
+                merged.copy_within(head..last, head + 1);
+                head += 1;
+                n as usize
+            } else {
+                next_leaf += 1;
+                leaves[next_leaf - 1] as usize
+            }
+        };
+        let (a, b) = (take(), take());
+        weight[node] = weight[a] + weight[b];
+        parent[a] = node as u16;
+        parent[b] = node as u16;
+        merged[tail] = node as u16;
+        tail += 1;
+    }
+
+    // A parent always numbers above its children, so one downward sweep
+    // gives every depth.
+    let mut depth = [0u32; 511];
+    for node in (0..root).rev() {
+        if node >= 256 || freq[node] > 0 {
+            depth[node] = depth[parent[node] as usize] + 1;
         }
-        if depth > MAX_CODE_LEN {
+    }
+    for &s in &leaves {
+        if depth[s as usize] > MAX_CODE_LEN {
             return None;
         }
-        lens[sym] = depth;
+        lens[s as usize] = depth[s as usize];
     }
     Some(lens)
 }
 
-/// Canonical `(code, len)` per symbol from a length table.
+/// Canonical `(code, len)` per symbol from a length table: codes of one
+/// length are consecutive in symbol order, and each length's first code
+/// follows the last code of the length before it.
 fn canonical_codes(lens: &[u32; 256]) -> [(u32, u32); 256] {
-    let mut codes = [(0u32, 0u32); 256];
+    let mut count = [0u32; MAX_CODE_LEN as usize + 1];
+    for &l in lens {
+        count[l as usize] += 1;
+    }
+    let mut next = [0u32; MAX_CODE_LEN as usize + 1];
     let mut code = 0u32;
-    for len in 1..=MAX_CODE_LEN {
-        for (sym, &l) in lens.iter().enumerate() {
-            if l == len {
-                codes[sym] = (code, len);
-                code += 1;
-            }
+    for len in 1..=MAX_CODE_LEN as usize {
+        code = (code + if len > 1 { count[len - 1] } else { 0 }) << 1;
+        next[len] = code;
+    }
+    let mut codes = [(0u32, 0u32); 256];
+    for (sym, &l) in lens.iter().enumerate() {
+        if l > 0 {
+            codes[sym] = (next[l as usize], l);
+            next[l as usize] += 1;
         }
-        code <<= 1;
     }
     codes
 }
@@ -214,6 +294,119 @@ fn canonical_codes(lens: &[u32; 256]) -> [(u32, u32); 256] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The builder the two-queue one replaced: re-sort the live list by
+    /// weight (stably, so a merged node placed at the front stays ahead
+    /// of its equals) after every merge. The reference it must match.
+    fn code_lengths_reference(freq: &[u64; 256]) -> Option<[u32; 256]> {
+        let mut weight = Vec::with_capacity(512);
+        let mut parent = vec![usize::MAX; 512];
+        let mut live: Vec<usize> = Vec::new();
+        for (sym, &f) in freq.iter().enumerate() {
+            weight.push(f);
+            if f > 0 {
+                live.push(sym);
+            }
+        }
+        if live.is_empty() {
+            return None;
+        }
+        if live.len() == 1 {
+            let mut lens = [0u32; 256];
+            lens[live[0]] = 1;
+            return Some(lens);
+        }
+        while live.len() > 1 {
+            live.sort_by_key(|&n| weight[n]);
+            let (a, b) = (live[0], live[1]);
+            let node = weight.len();
+            weight.push(weight[a] + weight[b]);
+            parent.push(usize::MAX);
+            parent[a] = node;
+            parent[b] = node;
+            live.splice(0..2, [node]);
+        }
+        let mut lens = [0u32; 256];
+        for sym in 0..256 {
+            if freq[sym] == 0 {
+                continue;
+            }
+            let mut depth = 0;
+            let mut n = sym;
+            while parent[n] != usize::MAX {
+                n = parent[n];
+                depth += 1;
+            }
+            if depth > MAX_CODE_LEN {
+                return None;
+            }
+            lens[sym] = depth;
+        }
+        Some(lens)
+    }
+
+    /// The canonical codes as the length-by-length scan assigns them.
+    fn canonical_codes_reference(lens: &[u32; 256]) -> [(u32, u32); 256] {
+        let mut codes = [(0u32, 0u32); 256];
+        let mut code = 0u32;
+        for len in 1..=MAX_CODE_LEN {
+            for (sym, &l) in lens.iter().enumerate() {
+                if l == len {
+                    codes[sym] = (code, len);
+                    code += 1;
+                }
+            }
+            code <<= 1;
+        }
+        codes
+    }
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// Seeded frequency tables, most with heavy ties (weights drawn
+        /// from a handful of values), some with weights skewed far
+        /// enough to overflow the 15-bit cap: the two-queue builder
+        /// gives the reference's lengths, `None`s included, and the
+        /// codes built from them match the length-by-length scan.
+        #[test]
+        fn two_queue_builder_matches_the_reference(seed in 0u64..u64::MAX) {
+            let mut st = seed;
+            let symbols = 1 + (splitmix(&mut st) % 256) as usize;
+            let spread = [1u64, 2, 3, 4, 8, 100, 1 << 40][(splitmix(&mut st) % 7) as usize];
+            let skewed = splitmix(&mut st).is_multiple_of(8);
+            let mut freq = [0u64; 256];
+            for k in 0..symbols {
+                let sym = (splitmix(&mut st) % 256) as usize;
+                freq[sym] = if skewed {
+                    1 << (k % 40)
+                } else {
+                    1 + splitmix(&mut st) % spread
+                };
+            }
+            let lens = code_lengths(&freq);
+            prop_assert_eq!(lens, code_lengths_reference(&freq));
+            if let Some(lens) = lens {
+                prop_assert_eq!(canonical_codes(&lens), canonical_codes_reference(&lens));
+            }
+        }
+    }
+
+    /// Huffman-code `src` onto `out`, or `None` (leaving `out` as it
+    /// is) when no code can be built.
+    fn encode(src: &[u8], out: &mut Vec<u8>) -> Option<()> {
+        Code::new(&histogram(src))?.write(src, out);
+        Some(())
+    }
 
     fn round_trip(src: &[u8]) -> usize {
         let mut coded = Vec::new();

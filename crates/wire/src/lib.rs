@@ -305,26 +305,67 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
+const FNV_OFFSET: u32 = 0x811C_9DC5;
+const FNV_PRIME: u32 = 0x0100_0193;
+
 /// FNV-1a over a word slice (big-endian byte order), the container's
 /// section checksum. Cheap, order-sensitive, and byte-exact across
 /// platforms.
 pub fn fnv1a_words(words: &[u32]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
+    fnv1a_words_from(FNV_OFFSET, words)
+}
+
+/// Continue an FNV-1a chain at `h` over `words`.
+fn fnv1a_words_from(mut h: u32, words: &[u32]) -> u32 {
     for &w in words {
         for b in w.to_be_bytes() {
             h ^= b as u32;
-            h = h.wrapping_mul(0x0100_0193);
+            h = h.wrapping_mul(FNV_PRIME);
         }
     }
     h
 }
 
+/// [`fnv1a_words`] of every section, four at a time.
+///
+/// Each section's checksum is one serial multiply chain, so one chain
+/// alone leaves the multiplier idle most of the time. The sections are
+/// taken in length order, and each group of four runs its chains side
+/// by side over the group's shortest length before finishing each alone.
+/// The values are those of hashing each section by itself.
+pub(crate) fn fnv1a_sections(sections: &[&[u32]]) -> Vec<u32> {
+    let mut order: Vec<usize> = (0..sections.len()).collect();
+    order.sort_by_key(|&i| sections[i].len());
+    let mut out = vec![0; sections.len()];
+    let mut groups = order.chunks_exact(4);
+    for g in &mut groups {
+        let n = g.iter().map(|&i| sections[i].len()).min().unwrap_or(0);
+        let [a, b, c, d] = [0, 1, 2, 3].map(|k| &sections[g[k]][..n]);
+        let mut h = [FNV_OFFSET; 4];
+        for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+            let w = [a, b, c, d];
+            for shift in [24, 16, 8, 0] {
+                for (h, w) in h.iter_mut().zip(w) {
+                    *h = (*h ^ ((w >> shift) & 0xFF)).wrapping_mul(FNV_PRIME);
+                }
+            }
+        }
+        for (&i, h) in g.iter().zip(h) {
+            out[i] = fnv1a_words_from(h, &sections[i][n..]);
+        }
+    }
+    for &i in groups.remainder() {
+        out[i] = fnv1a_words(sections[i]);
+    }
+    out
+}
+
 /// FNV-1a over raw bytes (header checksum).
 pub fn fnv1a_bytes(bytes: &[u8]) -> u32 {
-    let mut h: u32 = 0x811C_9DC5;
+    let mut h: u32 = FNV_OFFSET;
     for &b in bytes {
         h ^= b as u32;
-        h = h.wrapping_mul(0x0100_0193);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -356,6 +397,25 @@ mod tests {
             fnv1a_words(&[0x0102_0304]),
             fnv1a_bytes(&[0x01, 0x02, 0x03, 0x04])
         );
+    }
+
+    #[test]
+    fn section_lanes_match_the_serial_chain() {
+        // Lengths that group unevenly, repeat, and include the empty
+        // section; content that differs per section.
+        let words: Vec<u32> = (0..600u32).map(|i| i.wrapping_mul(0x9E37_79B9)).collect();
+        let lens = [0usize, 1, 6, 6, 6, 7, 12, 40, 40, 41, 97, 200, 3];
+        let mut at = 0;
+        let sections: Vec<&[u32]> = (lens.iter())
+            .map(|&n| {
+                at += n;
+                &words[at - n..at]
+            })
+            .collect();
+        for take in 0..=sections.len() {
+            let serial: Vec<u32> = sections[..take].iter().map(|s| fnv1a_words(s)).collect();
+            assert_eq!(fnv1a_sections(&sections[..take]), serial, "{take} sections");
+        }
     }
 
     #[test]

@@ -22,7 +22,11 @@
 //! a streaming reader could bound its buffer exactly like the download
 //! decoder; every failure is the same typed [`WireError`] discipline.
 
-use crate::{fnv1a_bytes, fnv1a_words, huff, rle, Mode, WireError, WireStats, SECTION_MAX_WORDS};
+use crate::encode::Picker;
+use crate::{
+    fnv1a_bytes, fnv1a_sections, fnv1a_words, huff, rle, Mode, WireError, WireStats,
+    SECTION_MAX_WORDS,
+};
 
 /// Reply container magic: "JWR1" (JPG wire reply, version 1).
 pub const REPLY_MAGIC: [u8; 4] = *b"JWR1";
@@ -58,21 +62,16 @@ pub fn encode_reply(words: &[u32]) -> EncodedReply {
         decoded_bytes: words.len() * 4,
         ..WireStats::default()
     };
+    let chunks: Vec<&[u32]> = words.chunks(SECTION_MAX_WORDS).collect();
     let mut body = Vec::new();
-    let mut sections = 0usize;
-    for chunk in words.chunks(SECTION_MAX_WORDS) {
-        let (mode, payload) = best_reply_mode(chunk);
-        debug_assert!(chunk.len() < 1 << 24);
-        body.extend_from_slice(&(((mode as u32) << 24) | chunk.len() as u32).to_be_bytes());
-        body.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        body.extend_from_slice(&fnv1a_words(chunk).to_be_bytes());
-        body.extend_from_slice(&payload);
-        while body.len() % 4 != 0 {
-            body.push(0);
-        }
-        sections += 1;
+    let mut picker = Picker::default();
+    for (chunk, checksum) in chunks.iter().zip(fnv1a_sections(&chunks)) {
+        let mode = picker.section(&mut body, chunk, None, |_, payload_len| {
+            [payload_len, checksum]
+        });
         stats.mode_counts[mode as usize] += 1;
     }
+    let sections = chunks.len();
 
     let mut bytes = Vec::with_capacity(REPLY_HEADER_BYTES + body.len());
     bytes.extend_from_slice(&REPLY_MAGIC);
@@ -88,28 +87,6 @@ pub fn encode_reply(words: &[u32]) -> EncodedReply {
     obs::counter!("wire_reply_bytes_decoded_total").add(stats.decoded_bytes as u64);
     obs::counter!("wire_reply_bytes_on_wire_total").add(stats.encoded_bytes as u64);
     EncodedReply { bytes, stats }
-}
-
-/// Smallest of Raw / RLE / Huffman-RLE for one reply chunk (ties break
-/// toward the simpler mode).
-fn best_reply_mode(chunk: &[u32]) -> (Mode, Vec<u8>) {
-    let mut best_mode = Mode::Raw;
-    let mut best: Vec<u8> = Vec::with_capacity(chunk.len() * 4);
-    for &w in chunk {
-        best.extend_from_slice(&w.to_be_bytes());
-    }
-    let mut rle_bytes = Vec::new();
-    rle::encode(chunk, &mut rle_bytes);
-    if rle_bytes.len() < best.len() {
-        best = rle_bytes.clone();
-        best_mode = Mode::Rle;
-    }
-    let mut huffed = Vec::new();
-    if huff::encode(&rle_bytes, &mut huffed).is_some() && huffed.len() < best.len() {
-        best = huffed;
-        best_mode = Mode::HuffRle;
-    }
-    (best_mode, best)
 }
 
 /// Decode a `JWR1` reply back to its words.
@@ -129,7 +106,9 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Vec<u32>, WireError> {
     let total_words = be32(bytes, 4) as usize;
     let section_count = be32(bytes, 8) as usize;
 
-    let mut out = Vec::with_capacity(total_words);
+    // The header's word count is unchecked input: reserve no more than
+    // one section ahead of what the sections actually carry.
+    let mut out = Vec::with_capacity(total_words.min(SECTION_MAX_WORDS));
     let mut scratch = Vec::new();
     let mut pos = REPLY_HEADER_BYTES;
     for section in 0..section_count {

@@ -13,12 +13,12 @@ use jpg::workflow::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use simboard::fabric::DecodedSlice;
+use simboard::fabric::{DecodedIob, DecodedSlice};
 use simboard::{DecodeError, FabricModel, FabricSim, SimBoard};
 use std::collections::{HashMap, VecDeque};
 use virtex::{
-    ClbResource, ConfigMemory, Device, Dir, IobResource, LutId, MuxSetting, Pip, ResourceValue,
-    RoutingGraph, SliceId, SlicePin, SliceResource, TileCoord, Wire, WireKind,
+    ClbResource, ConfigMemory, Device, Dir, IobCoord, IobResource, LutId, MuxSetting, Pip,
+    ResourceValue, RoutingGraph, SliceId, SlicePin, SliceResource, TileCoord, Wire, WireKind,
 };
 
 /// The original settle engine: wire values in a `HashMap`, pad drives by
@@ -613,4 +613,68 @@ fn a_pad_toggle_down_a_chain_costs_evaluations_linear_in_its_length() {
     for pair in evals.windows(2) {
         assert!(pair[1] <= 4 * pair[0] + 4, "evaluations {evals:?}");
     }
+}
+
+/// A board that takes a request's pad drives with `set_pads` settles
+/// once per batch and lands where a twin driven pad by pad lands: the
+/// same outputs and flip-flops after the drives, after a reset and after
+/// every clock, in fewer settle passes.
+#[test]
+fn batched_pad_drives_match_pad_by_pad_drives_in_fewer_passes() {
+    let regions = fig4();
+    let base =
+        build_base("fig4", FIG4_DEVICE, &base_modules(&regions), 11).expect("Figure-4 base builds");
+    let [mut single, mut batched] = [0, 1].map(|_| {
+        let mut board = SimBoard::new(FIG4_DEVICE);
+        board.set_configuration(&base.bitstream.bitstream).unwrap();
+        board
+    });
+    let model = single.fabric().unwrap().model().clone();
+    let io = |io: &DecodedIob| IobCoord::new(io.tile, io.pad);
+    let inputs: Vec<IobCoord> = model.iobs.iter().filter(|i| i.inbuf).map(io).collect();
+    let outputs: Vec<IobCoord> = model.iobs.iter().filter(|i| i.outbuf).map(io).collect();
+    assert!(inputs.len() > 1, "the base drives more than one pad");
+    let same = |a: &SimBoard, b: &SimBoard, what: &str| {
+        for &o in &outputs {
+            assert_eq!(
+                a.get_pad(o),
+                b.get_pad(o),
+                "{what}: pad {}/{}",
+                o.tile,
+                o.pad
+            );
+        }
+        let ff = |board: &SimBoard| board.fabric().unwrap().ff_states();
+        assert_eq!(ff(a), ff(b), "{what}: FFs");
+    };
+    let passes = |board: &SimBoard| board.fabric().unwrap().work().passes;
+
+    let mut rng = StdRng::seed_from_u64(28);
+    let (mut single_passes, mut batched_passes) = (0, 0);
+    for round in 0..24 {
+        let drives: Vec<(IobCoord, bool)> =
+            (inputs.iter()).map(|&io| (io, rng.gen_bool(0.5))).collect();
+        let before = (passes(&single), passes(&batched));
+        for &(io, v) in &drives {
+            single.set_pad(io, v);
+        }
+        batched.set_pads(drives.iter().copied());
+        single_passes += passes(&single) - before.0;
+        batched_passes += passes(&batched) - before.1;
+        same(&single, &batched, &format!("round {round}, drives"));
+        if rng.gen_bool(0.3) {
+            single.reset();
+            batched.reset();
+            same(&single, &batched, &format!("round {round}, reset"));
+        }
+        for clock in 0..rng.gen_range(1..=4) {
+            single.clock_step(1);
+            batched.clock_step(1);
+            same(&single, &batched, &format!("round {round}, clock {clock}"));
+        }
+    }
+    assert!(
+        batched_passes < single_passes,
+        "drives settled in {batched_passes} passes batched, {single_passes} pad by pad"
+    );
 }
