@@ -384,3 +384,159 @@ fn outcome_classification_is_exhaustive_and_typed() {
         }
     }
 }
+
+/// The settlement scenario: two boards in one shard, a tight admission
+/// queue, a two-attempt retry budget under heavy port faults and the
+/// defragmenter on, fed a hand-written trace so that every way a request
+/// can end happens at least once.
+fn every_outcome_spec(seed: u64) -> FleetSimSpec {
+    FleetSimSpec {
+        boards: 2,
+        shards: 1,
+        workers: 1,
+        regions: 2,
+        variants: 3,
+        fault_rate: 0.5,
+        max_attempts: 2,
+        queue_cap: 2,
+        shed_watermark: 1,
+        log_events: true,
+        trace: true,
+        defrag: true,
+        seed,
+        ..FleetSimSpec::default()
+    }
+}
+
+/// Requests as `(at_ns, region, variant, priority)`, ids in list order.
+fn every_outcome_trace() -> Vec<fleet::SimRequest> {
+    use Priority::{High, Low, Normal};
+    let burst = |at: u64, keys: &[(u32, u32, Priority)]| -> Vec<(u64, u32, u32, Priority)> {
+        keys.iter().map(|&(r, v, p)| (at, r, v, p)).collect()
+    };
+    let mut reqs = Vec::new();
+    // t=0: two downloads start, one rider attaches, one request queues,
+    // a low-priority one sheds past the watermark, one more queues, the
+    // next is rejected at the cap, and a bad region fails resolution.
+    reqs.extend(burst(
+        0,
+        &[
+            (0, 0, Normal),
+            (0, 0, Normal),
+            (1, 1, High),
+            (0, 2, Normal),
+            (1, 2, Low),
+            (0, 1, Normal),
+            (1, 0, Normal),
+            (9, 0, Normal),
+        ],
+    ));
+    // Hot-key bursts: every download carries riders, so some of them
+    // exhaust the retry budget with riders attached.
+    for (i, key) in [(1, 2), (0, 1), (1, 0), (0, 2), (1, 1), (0, 0)]
+        .iter()
+        .enumerate()
+    {
+        let at = 1_000_000 * (i as u64 + 1);
+        reqs.extend(burst(at, &[(key.0, key.1, Normal), (key.0, key.1, High)]));
+    }
+    // Long after the fleet settles: every key again, so any variant
+    // still resident is served without a download.
+    for r in 0..2 {
+        for v in 0..3 {
+            reqs.push((50_000_000, r, v, Normal));
+        }
+    }
+    reqs.into_iter()
+        .enumerate()
+        .map(|(id, (at, region, variant, priority))| fleet::SimRequest {
+            id: id as u64,
+            at: fleet::Vt::from_ns(at),
+            region,
+            variant,
+            priority,
+            payload: id as u32,
+        })
+        .collect()
+}
+
+/// Golden settlement fixture: the scenario above reaches every way a
+/// request can end (resident, coalesced and served; failed at
+/// resolution, by exhaustion and as the rider of an exhausted download;
+/// rejected; shed) and both migration endings. Its event log, JSONL
+/// trace, post-mortems, outcomes and metric snapshot are pinned
+/// byte-for-byte. Regenerate deliberately with
+/// `BLESS_SCHED_LOG=1 cargo test -p fleet --test sched_determinism`.
+#[test]
+fn every_outcome_matches_golden_fixture() {
+    let r = fleet::simulate_trace(&every_outcome_spec(356), every_outcome_trace());
+    let count = |f: &dyn Fn(&fleet::Outcome) -> bool| r.outcomes.iter().filter(|o| f(o)).count();
+    let served = |resident, coalesced| OutcomeKind::Served {
+        resident,
+        coalesced,
+    };
+    let reached = [
+        ("resident", count(&|o| o.kind == served(true, false))),
+        ("coalesced", count(&|o| o.kind == served(false, true))),
+        ("served", count(&|o| o.kind == served(false, false))),
+        (
+            "failed at resolution",
+            count(&|o| o.kind == OutcomeKind::Failed && o.board.is_none()),
+        ),
+        (
+            "failed by exhaustion",
+            count(&|o| o.kind == OutcomeKind::Failed && o.attempts > 0),
+        ),
+        (
+            "failed as a rider",
+            count(&|o| o.kind == OutcomeKind::Failed && o.board.is_some() && o.attempts == 0),
+        ),
+        ("rejected", count(&|o| o.kind == OutcomeKind::Rejected)),
+        ("shed", count(&|o| o.kind == OutcomeKind::Shed)),
+        ("migration done", r.migrations as usize),
+        (
+            "migration exhausted",
+            r.event_log
+                .iter()
+                .filter(|l| l.contains("migrate-exhausted"))
+                .count(),
+        ),
+    ];
+    for (what, n) in reached {
+        assert!(n > 0, "the scenario no longer reaches: {what}");
+    }
+
+    let mut rendered = String::from("== event log\n");
+    for line in &r.event_log {
+        rendered += line;
+        rendered.push('\n');
+    }
+    rendered += "== trace\n";
+    rendered += &r.trace.jsonl();
+    rendered += "== postmortems\n";
+    for pm in &r.postmortems {
+        rendered += pm;
+        rendered.push('\n');
+    }
+    rendered += "== outcomes\n";
+    for o in &r.outcomes {
+        rendered += &format!("{o:?}\n");
+    }
+    rendered += "== metrics\n";
+    rendered += &obs::prometheus(&r.snapshot);
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fixtures/sched_every_outcome.txt"
+    );
+    if std::env::var_os("BLESS_SCHED_LOG").is_some() {
+        std::fs::write(path, &rendered).expect("bless fixture");
+        return;
+    }
+    let golden = std::fs::read_to_string(path)
+        .expect("golden fixture missing — run with BLESS_SCHED_LOG=1 to create it");
+    assert_eq!(
+        rendered, golden,
+        "settlement diverged from the golden fixture; if the scheduler \
+         intentionally changed, re-bless with BLESS_SCHED_LOG=1"
+    );
+}
