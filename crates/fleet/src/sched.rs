@@ -706,27 +706,81 @@ impl<B: Backend> Shard<B> {
         self.log.push((self.now.ns(), seq, text));
     }
 
-    /// Record the root "request" span for a finished outcome: it spans
-    /// arrival → completion and carries the terminal classification.
-    fn trace_outcome(&mut self, o: &Outcome) {
+    /// The one place a request ends. Its kind picks the request
+    /// instruments it moves: served counts `requests_served` (and
+    /// `resident_hits` when it needed no download of its own), failed
+    /// counts `requests_failed`, and both record their port time in
+    /// `request_latency` and arrival → completion in `e2e_latency`;
+    /// rejected and shed count only themselves. Then the root "request"
+    /// span records the classification and the outcome is kept.
+    fn settle(&mut self, m: &FleetMetrics, o: Outcome) {
+        match o.kind {
+            OutcomeKind::Served {
+                resident,
+                coalesced,
+            } => {
+                if resident || coalesced {
+                    m.resident_hits.inc();
+                }
+                m.requests_served.inc();
+            }
+            OutcomeKind::Failed => m.requests_failed.inc(),
+            OutcomeKind::Rejected => m.rejected.inc(),
+            OutcomeKind::Shed => m.shed.inc(),
+        }
+        let e2e_ns = o.completed.ns() - o.arrived.ns();
+        if matches!(o.kind, OutcomeKind::Served { .. } | OutcomeKind::Failed) {
+            m.request_latency.record(Duration::from_nanos(o.port_ns));
+            m.e2e_latency.record(Duration::from_nanos(e2e_ns));
+        }
+        if self.tracer.enabled() {
+            let mut span = TraceSpan::new(tid(o.id), 0, "request", o.arrived.ns(), e2e_ns);
+            if let Some(g) = o.board {
+                span.board = g as i64;
+            }
+            let f = &mut span.fields;
+            f.push("outcome", FieldValue::Str(outcome_str(&o.kind)));
+            f.push("class", FieldValue::Str(o.priority.name()));
+            f.push("attempts", FieldValue::U64(o.attempts as u64));
+            f.push("bytes", FieldValue::U64(o.bytes));
+            f.push("store_hit", FieldValue::U64(o.store_hit as u64));
+            self.tracer.record(span);
+        }
+        self.outcomes.push(o);
+    }
+
+    /// The outcome of `q` on local board `b`, concluding now: served
+    /// requests carry the board's outputs, failed ones `error`.
+    fn board_outcome(
+        &mut self,
+        backend: &B,
+        b: u32,
+        q: &Queued<B>,
+        kind: OutcomeKind,
+        error: Option<String>,
+    ) -> Outcome {
+        let mut o = outcome(&q.req, kind, self.now, error);
+        o.board = Some(self.global(b));
+        o.store_hit = q.res.store_hit;
+        o.generation = q.res.generation;
+        if o.served() {
+            let state = &mut self.boards[b as usize].state;
+            o.outputs = backend.finish(state, q.req.region, q.req.payload);
+        }
+        o
+    }
+
+    /// Record a span of `stage` for `req` on global board `g`, tagged
+    /// with its class. The span is built in place and moved once.
+    fn class_span(&mut self, stage: &'static str, req: &SimRequest, parent: u64, at: Vt, g: u32) {
         if !self.tracer.enabled() {
             return;
         }
-        let mut span = TraceSpan::new(
-            tid(o.id),
-            0,
-            "request",
-            o.arrived.ns(),
-            o.completed.ns() - o.arrived.ns(),
-        )
-        .field("outcome", FieldValue::Str(outcome_str(&o.kind)))
-        .field("class", FieldValue::Str(o.priority.name()))
-        .field("attempts", FieldValue::U64(o.attempts as u64))
-        .field("bytes", FieldValue::U64(o.bytes))
-        .field("store_hit", FieldValue::U64(o.store_hit as u64));
-        if let Some(g) = o.board {
-            span = span.on_board(g as u64);
-        }
+        let (start, dur) = (at.ns(), self.now.ns() - at.ns());
+        let mut span = TraceSpan::new(tid(req.id), parent, stage, start, dur);
+        span.board = g as i64;
+        span.fields
+            .push("class", FieldValue::Str(req.priority.name()));
         self.tracer.record(span);
     }
 
@@ -774,55 +828,44 @@ impl<B: Backend> Shard<B> {
                 self.events.push(due, Ev::Defrag { board: b });
             }
         }
-        let core = &self.boards[b as usize];
-        match self.cfg.mode {
-            ServeMode::Partial => {
-                for (r, res) in core.resident.iter().enumerate() {
-                    match *res {
-                        Resident::Variant(v) => {
-                            self.idle_exact.entry((r as u32, v)).or_default().insert(b);
-                        }
-                        Resident::Base => {
-                            self.idle_base.entry(r as u32).or_default().insert(b);
-                        }
-                        Resident::Unknown => {}
-                    }
-                }
-            }
-            ServeMode::FullSwap => {
-                if let Some(key) = fullswap_key(&core.resident) {
-                    self.idle_exact.entry(key).or_default().insert(b);
-                }
-            }
-        }
+        self.file_idle(b, true);
     }
 
     fn index_remove(&mut self, b: u32) {
         self.idle.remove(&b);
-        let core = &self.boards[b as usize];
+        self.file_idle(b, false);
+    }
+
+    /// File board `b` under (`file`) or take it out of every idle-index
+    /// key its residency earns: `(region, variant)` in `idle_exact` for
+    /// each verified variant (a full-swap board's one variant), and the
+    /// region in `idle_base` for each base-content region of a partial
+    /// board. Residency never changes while a board is idle, so removal
+    /// derives the same keys its filing did.
+    fn file_idle(&mut self, b: u32, file: bool) {
+        let set = |s: &mut BTreeSet<u32>| {
+            if file {
+                s.insert(b);
+            } else {
+                s.remove(&b);
+            }
+        };
+        let resident = &self.boards[b as usize].resident;
         match self.cfg.mode {
             ServeMode::Partial => {
-                for (r, res) in core.resident.iter().enumerate() {
+                for (r, res) in resident.iter().enumerate() {
                     match *res {
                         Resident::Variant(v) => {
-                            if let Some(s) = self.idle_exact.get_mut(&(r as u32, v)) {
-                                s.remove(&b);
-                            }
+                            set(self.idle_exact.entry((r as u32, v)).or_default())
                         }
-                        Resident::Base => {
-                            if let Some(s) = self.idle_base.get_mut(&(r as u32)) {
-                                s.remove(&b);
-                            }
-                        }
+                        Resident::Base => set(self.idle_base.entry(r as u32).or_default()),
                         Resident::Unknown => {}
                     }
                 }
             }
             ServeMode::FullSwap => {
-                if let Some(key) = fullswap_key(&self.boards[b as usize].resident) {
-                    if let Some(s) = self.idle_exact.get_mut(&key) {
-                        s.remove(&b);
-                    }
+                if let Some(key) = fullswap_key(resident) {
+                    set(self.idle_exact.entry(key).or_default());
                 }
             }
         }
@@ -858,13 +901,8 @@ impl<B: Backend> Shard<B> {
         let (art, res) = match backend.resolve(&req) {
             Ok(x) => x,
             Err(e) => {
-                m.requests_failed.inc();
-                m.request_latency.record(Duration::ZERO);
-                m.e2e_latency.record(Duration::ZERO);
                 shlog!(self, "fail id={} error={e:?}", req.id);
-                let o = terminal(&req, OutcomeKind::Failed, self.now, Some(e));
-                self.trace_outcome(&o);
-                self.outcomes.push(o);
+                self.settle(m, outcome(&req, OutcomeKind::Failed, self.now, Some(e)));
                 return;
             }
         };
@@ -892,59 +930,23 @@ impl<B: Backend> Shard<B> {
             self.serve_resident(backend, m, b, q);
             return;
         }
-        if self.cfg.coalesce {
-            if let Some(&b) = self.inflight.get(&key) {
-                m.coalesced.inc();
-                shlog!(self, "rider id={} board={}", q.req.id, self.global(b));
-                let (rid, rclass) = (q.req.id, q.req.priority.name());
-                let job = self.boards[b as usize]
-                    .job
-                    .as_mut()
-                    .expect("inflight board has a job");
-                let main_id = job.main.req.id;
-                job.riders.push(q);
-                if self.tracer.enabled() {
-                    let g = self.global(b);
-                    self.tracer.record(
-                        TraceSpan::new(tid(rid), tid(main_id), "ride", self.now.ns(), 0)
-                            .on_board(g as u64)
-                            .field("class", FieldValue::Str(rclass)),
-                    );
-                }
-                return;
-            }
-        }
+        let Some(q) = self.ride(m, q) else {
+            return;
+        };
         if let Some(b) = self.pick_idle(q.req.region) {
             self.start_job(backend, m, b, q);
             return;
         }
         if self.queued >= self.cfg.queue_cap {
-            m.rejected.inc();
             shlog!(self, "reject id={}", q.req.id);
-            let o = terminal(
-                &q.req,
-                OutcomeKind::Rejected,
-                self.now,
-                Some(format!("queue full (cap {})", self.cfg.queue_cap)),
-            );
-            self.trace_outcome(&o);
-            self.outcomes.push(o);
+            let e = format!("queue full (cap {})", self.cfg.queue_cap);
+            self.settle(m, outcome(&q.req, OutcomeKind::Rejected, self.now, Some(e)));
             return;
         }
         if q.req.priority == Priority::Low && self.queued >= self.cfg.shed_watermark {
-            m.shed.inc();
             shlog!(self, "shed id={}", q.req.id);
-            let o = terminal(
-                &q.req,
-                OutcomeKind::Shed,
-                self.now,
-                Some(format!(
-                    "shed under load (watermark {})",
-                    self.cfg.shed_watermark
-                )),
-            );
-            self.trace_outcome(&o);
-            self.outcomes.push(o);
+            let e = format!("shed under load (watermark {})", self.cfg.shed_watermark);
+            self.settle(m, outcome(&q.req, OutcomeKind::Shed, self.now, Some(e)));
             return;
         }
         self.queues[q.req.priority.class()].push_back(q);
@@ -952,58 +954,39 @@ impl<B: Backend> Shard<B> {
         self.queue_high = self.queue_high.max(self.queued);
     }
 
+    /// Attach `q` as a rider to the download of its key in flight on
+    /// this shard, if coalescing is on and there is one; otherwise hand
+    /// it back.
+    fn ride(&mut self, m: &FleetMetrics, q: Queued<B>) -> Option<Queued<B>> {
+        let key = (q.req.region, q.req.variant);
+        let Some(&b) = self.cfg.coalesce.then(|| self.inflight.get(&key)).flatten() else {
+            return Some(q);
+        };
+        m.coalesced.inc();
+        let (req, g) = (q.req, self.global(b));
+        shlog!(self, "rider id={} board={g}", req.id);
+        let job = self.boards[b as usize]
+            .job
+            .as_mut()
+            .expect("inflight board has a job");
+        let main = tid(job.main.req.id);
+        job.riders.push(q);
+        self.class_span("ride", &req, main, self.now, g);
+        None
+    }
+
     /// Zero-traffic service on an idle board that already runs the
     /// variant verified. The board stays idle.
     fn serve_resident(&mut self, backend: &B, m: &FleetMetrics, b: u32, q: Queued<B>) {
-        let global = self.global(b);
-        let outputs = backend.finish(
-            &mut self.boards[b as usize].state,
-            q.req.region,
-            q.req.payload,
-        );
-        m.resident_hits.inc();
-        m.requests_served.inc();
-        m.request_latency.record(Duration::ZERO);
-        m.e2e_latency
-            .record(Duration::from_nanos(self.now.ns() - q.req.at.ns()));
-        shlog!(self, "resident id={} board={global}", q.req.id);
-        if self.tracer.enabled() {
-            self.tracer.record(
-                TraceSpan::new(
-                    tid(q.req.id),
-                    0,
-                    "queue",
-                    q.req.at.ns(),
-                    self.now.ns() - q.req.at.ns(),
-                )
-                .on_board(global as u64)
-                .field("class", FieldValue::Str(q.req.priority.name())),
-            );
-        }
-        let o = Outcome {
-            id: q.req.id,
-            payload: q.req.payload,
-            region: q.req.region,
-            variant: q.req.variant,
-            priority: q.req.priority,
-            kind: OutcomeKind::Served {
-                resident: true,
-                coalesced: false,
-            },
-            board: Some(global),
-            attempts: 0,
-            store_hit: q.res.store_hit,
-            bytes: 0,
-            port_ns: 0,
-            generation: q.res.generation,
-            arrived: q.req.at,
-            started: self.now,
-            completed: self.now,
-            outputs,
-            error: None,
+        let kind = OutcomeKind::Served {
+            resident: true,
+            coalesced: false,
         };
-        self.trace_outcome(&o);
-        self.outcomes.push(o);
+        let o = self.board_outcome(backend, b, &q, kind, None);
+        let global = self.global(b);
+        shlog!(self, "resident id={} board={global}", q.req.id);
+        self.class_span("queue", &q.req, 0, q.req.at, global);
+        self.settle(m, o);
     }
 
     fn start_job(&mut self, backend: &B, m: &FleetMetrics, b: u32, q: Queued<B>) {
@@ -1028,28 +1011,16 @@ impl<B: Backend> Shard<B> {
                 self.queues[class] = kept;
             }
         }
+        let g = self.global(b);
         shlog!(
             self,
-            "dispatch id={} board={} riders={}",
+            "dispatch id={} board={g} riders={}",
             q.req.id,
-            self.global(b),
             riders.len()
         );
-        if self.tracer.enabled() {
-            let g = self.global(b) as u64;
-            let t = tid(q.req.id);
-            self.tracer.record(
-                TraceSpan::new(t, 0, "queue", q.req.at.ns(), self.now.ns() - q.req.at.ns())
-                    .on_board(g)
-                    .field("class", FieldValue::Str(q.req.priority.name())),
-            );
-            for rider in &riders {
-                self.tracer.record(
-                    TraceSpan::new(tid(rider.req.id), t, "ride", self.now.ns(), 0)
-                        .on_board(g)
-                        .field("class", FieldValue::Str(rider.req.priority.name())),
-                );
-            }
+        self.class_span("queue", &q.req, 0, q.req.at, g);
+        for rider in &riders {
+            self.class_span("ride", &rider.req, tid(q.req.id), self.now, g);
         }
         flight!(self, b, "dispatch", q.req.id, riders.len() as u64);
         self.boards[b as usize].job = Some(Job {
@@ -1127,38 +1098,33 @@ impl<B: Backend> Shard<B> {
         job.last_status = r.status;
         self.peak_buf = self.peak_buf.max(r.peak_buffer_words);
         if self.tracer.enabled() {
-            let t = tid(id);
-            let g = global as u64;
+            let (t, at) = (tid(id), self.now.ns());
             if pause_ns > 0 {
-                self.tracer
-                    .record(TraceSpan::new(t, 0, "backoff", self.now.ns(), pause_ns).on_board(g));
+                let mut span = TraceSpan::new(t, 0, "backoff", at, pause_ns);
+                span.board = global as i64;
+                self.tracer.record(span);
             }
-            self.tracer.record(
-                TraceSpan::new(t, 0, "download", self.now.ns() + pause_ns, r.download_ns)
-                    .on_board(g)
-                    .field("flavor", FieldValue::Str(flavor_str(flavor)))
-                    .field("attempt", FieldValue::U64(attempt as u64))
-                    .field("bytes", FieldValue::U64(bytes))
-                    .field("status", FieldValue::Str(status_s))
-                    .field("peak_buffer_words", FieldValue::U64(r.peak_buffer_words)),
-            );
+            let mut span = TraceSpan::new(t, 0, "download", at + pause_ns, r.download_ns);
+            span.board = global as i64;
+            let f = &mut span.fields;
+            f.push("flavor", FieldValue::Str(flavor_str(flavor)));
+            f.push("attempt", FieldValue::U64(attempt as u64));
+            f.push("bytes", FieldValue::U64(bytes));
+            f.push("status", FieldValue::Str(status_s));
+            f.push("peak_buffer_words", FieldValue::U64(r.peak_buffer_words));
+            self.tracer.record(span);
             if r.verify_ns > 0 || r.readback_bytes > 0 {
-                self.tracer.record(
-                    TraceSpan::new(
-                        t,
-                        0,
-                        "verify",
-                        self.now.ns() + pause_ns + r.download_ns,
-                        r.verify_ns,
-                    )
-                    .on_board(g)
-                    .field("bytes", FieldValue::U64(r.readback_bytes))
-                    .field(
-                        "flavor",
-                        FieldValue::Str(verify_flavor_str(r.verify_flavor)),
-                    )
-                    .field("status", FieldValue::Str(status_s)),
+                let start = at + pause_ns + r.download_ns;
+                let mut span = TraceSpan::new(t, 0, "verify", start, r.verify_ns);
+                span.board = global as i64;
+                let f = &mut span.fields;
+                f.push("bytes", FieldValue::U64(r.readback_bytes));
+                f.push(
+                    "flavor",
+                    FieldValue::Str(verify_flavor_str(r.verify_flavor)),
                 );
+                f.push("status", FieldValue::Str(status_s));
+                self.tracer.record(span);
             }
         }
         flight!(self, b, "attempt", id, attempt as u64);
@@ -1169,211 +1135,75 @@ impl<B: Backend> Shard<B> {
         self.events.push(due, Ev::Complete { board: b });
     }
 
+    /// A download attempt's port time elapsed: retry a failed attempt
+    /// while budget remains, otherwise conclude the job — served, or
+    /// exhausted with its riders failing alongside.
     fn on_complete(&mut self, backend: &B, m: &FleetMetrics, b: u32) {
         let global = self.global(b);
         let core = &mut self.boards[b as usize];
-        let status = core
-            .job
-            .as_ref()
-            .expect("completion on an idle board")
-            .last_status
-            .clone();
-        match status {
-            DownloadStatus::Verified => {
-                let job = core.job.take().expect("checked above");
-                let region = job.main.req.region;
-                let variant = job.main.req.variant;
-                core.resident[region as usize] = Resident::Variant(variant);
-                if self.cfg.mode == ServeMode::FullSwap {
-                    for (r, res) in core.resident.iter_mut().enumerate() {
-                        if r != region as usize {
-                            *res = Resident::Base;
-                        }
-                    }
-                }
-                core.busy_ns += job.port_ns;
-                self.inflight.remove(&(region, variant));
-                shlog!(
-                    self,
-                    "complete id={} board={global} attempts={} ok riders={}",
-                    job.main.req.id,
-                    job.attempts,
-                    job.riders.len()
-                );
-                flight!(self, b, "complete_ok", job.main.req.id, job.attempts as u64);
-                self.emit_served(backend, m, b, global, &job);
-                for rider in &job.riders {
-                    self.emit_rider(backend, m, b, global, rider, &job);
-                }
-                self.index_insert(b);
-                self.drain(backend, m);
-            }
-            DownloadStatus::PortFault(_) | DownloadStatus::VerifyMismatch => {
-                m.retries.inc();
-                let exhausted =
-                    core.job.as_ref().expect("checked above").attempts >= self.cfg.max_attempts;
-                if !exhausted {
-                    self.begin_attempt(backend, m, b);
-                    return;
-                }
-                let job = core.job.take().expect("checked above");
-                core.busy_ns += job.port_ns;
-                self.inflight
-                    .remove(&(job.main.req.region, job.main.req.variant));
-                let last = match &status {
-                    DownloadStatus::PortFault(e) => e.clone(),
-                    _ => "readback verification mismatch".to_string(),
-                };
-                let msg = FleetError::Exhausted {
-                    attempts: job.attempts,
-                    last,
-                }
-                .to_string();
-                shlog!(
-                    self,
-                    "exhausted id={} board={global} attempts={}",
-                    job.main.req.id,
-                    job.attempts
-                );
-                flight!(self, b, "exhausted", job.main.req.id, job.attempts as u64);
-                self.flight_dump(b, "request_exhausted", Some(job.main.req.id));
-                m.requests_failed.inc();
-                m.request_latency.record(Duration::from_nanos(job.port_ns));
-                m.e2e_latency
-                    .record(Duration::from_nanos(self.now.ns() - job.main.req.at.ns()));
-                let o = Outcome {
-                    id: job.main.req.id,
-                    payload: job.main.req.payload,
-                    region: job.main.req.region,
-                    variant: job.main.req.variant,
-                    priority: job.main.req.priority,
-                    kind: OutcomeKind::Failed,
-                    board: Some(global),
-                    attempts: job.attempts,
-                    store_hit: job.main.res.store_hit,
-                    bytes: job.bytes,
-                    port_ns: job.port_ns,
-                    generation: job.main.res.generation,
-                    arrived: job.main.req.at,
-                    started: job.started,
-                    completed: self.now,
-                    outputs: Vec::new(),
-                    error: Some(msg.clone()),
-                };
-                self.trace_outcome(&o);
-                self.outcomes.push(o);
-                for rider in &job.riders {
-                    m.requests_failed.inc();
-                    m.request_latency.record(Duration::ZERO);
-                    m.e2e_latency
-                        .record(Duration::from_nanos(self.now.ns() - rider.req.at.ns()));
-                    let o = Outcome {
-                        id: rider.req.id,
-                        payload: rider.req.payload,
-                        region: rider.req.region,
-                        variant: rider.req.variant,
-                        priority: rider.req.priority,
-                        kind: OutcomeKind::Failed,
-                        board: Some(global),
-                        attempts: 0,
-                        store_hit: rider.res.store_hit,
-                        bytes: 0,
-                        port_ns: 0,
-                        generation: rider.res.generation,
-                        arrived: rider.req.at,
-                        started: self.now,
-                        completed: self.now,
-                        outputs: Vec::new(),
-                        error: Some(msg.clone()),
-                    };
-                    self.trace_outcome(&o);
-                    self.outcomes.push(o);
-                }
-                self.index_insert(b);
-                self.drain(backend, m);
+        let job = core.job.as_ref().expect("completion on an idle board");
+        let failed = job.last_status != DownloadStatus::Verified;
+        if failed {
+            m.retries.inc();
+            if job.attempts < self.cfg.max_attempts {
+                self.begin_attempt(backend, m, b);
+                return;
             }
         }
-    }
-
-    fn emit_served(&mut self, backend: &B, m: &FleetMetrics, b: u32, global: u32, job: &Job<B>) {
-        let outputs = backend.finish(
-            &mut self.boards[b as usize].state,
-            job.main.req.region,
-            job.main.req.payload,
-        );
-        m.requests_served.inc();
-        m.request_latency.record(Duration::from_nanos(job.port_ns));
-        m.e2e_latency
-            .record(Duration::from_nanos(self.now.ns() - job.main.req.at.ns()));
-        let o = Outcome {
-            id: job.main.req.id,
-            payload: job.main.req.payload,
-            region: job.main.req.region,
-            variant: job.main.req.variant,
-            priority: job.main.req.priority,
-            kind: OutcomeKind::Served {
-                resident: false,
-                coalesced: false,
-            },
-            board: Some(global),
-            attempts: job.attempts,
-            store_hit: job.main.res.store_hit,
-            bytes: job.bytes,
-            port_ns: job.port_ns,
-            generation: job.main.res.generation,
-            arrived: job.main.req.at,
-            started: job.started,
-            completed: self.now,
-            outputs,
-            error: None,
+        let job = core.job.take().expect("checked above");
+        let (id, attempts) = (job.main.req.id, job.attempts);
+        let (region, variant) = (job.main.req.region, job.main.req.variant);
+        core.busy_ns += job.port_ns;
+        if !failed {
+            core.resident[region as usize] = Resident::Variant(variant);
+            if self.cfg.mode == ServeMode::FullSwap {
+                for (r, res) in core.resident.iter_mut().enumerate() {
+                    if r != region as usize {
+                        *res = Resident::Base;
+                    }
+                }
+            }
+        }
+        self.inflight.remove(&(region, variant));
+        let error = if failed {
+            shlog!(self, "exhausted id={id} board={global} attempts={attempts}");
+            flight!(self, b, "exhausted", id, attempts as u64);
+            self.flight_dump(b, "request_exhausted", Some(id));
+            let last = match &job.last_status {
+                DownloadStatus::PortFault(e) => e.clone(),
+                _ => "readback verification mismatch".to_string(),
+            };
+            Some(FleetError::Exhausted { attempts, last }.to_string())
+        } else {
+            shlog!(
+                self,
+                "complete id={id} board={global} attempts={attempts} ok riders={}",
+                job.riders.len()
+            );
+            flight!(self, b, "complete_ok", id, attempts as u64);
+            None
         };
-        self.trace_outcome(&o);
-        self.outcomes.push(o);
-    }
-
-    fn emit_rider(
-        &mut self,
-        backend: &B,
-        m: &FleetMetrics,
-        b: u32,
-        global: u32,
-        rider: &Queued<B>,
-        job: &Job<B>,
-    ) {
-        let outputs = backend.finish(
-            &mut self.boards[b as usize].state,
-            rider.req.region,
-            rider.req.payload,
-        );
-        m.resident_hits.inc();
-        m.requests_served.inc();
-        m.request_latency.record(Duration::ZERO);
-        m.e2e_latency
-            .record(Duration::from_nanos(self.now.ns() - rider.req.at.ns()));
-        let o = Outcome {
-            id: rider.req.id,
-            payload: rider.req.payload,
-            region: rider.req.region,
-            variant: rider.req.variant,
-            priority: rider.req.priority,
-            kind: OutcomeKind::Served {
-                resident: false,
-                coalesced: true,
-            },
-            board: Some(global),
-            attempts: 0,
-            store_hit: rider.res.store_hit,
-            bytes: 0,
-            port_ns: 0,
-            generation: job.main.res.generation,
-            arrived: rider.req.at,
-            started: self.now,
-            completed: self.now,
-            outputs,
-            error: None,
-        };
-        self.trace_outcome(&o);
-        self.outcomes.push(o);
+        // The main request carries the job's traffic; its riders ride
+        // for free and, when served, report the generation they rode.
+        for (i, q) in std::iter::once(&job.main).chain(&job.riders).enumerate() {
+            let kind = match error {
+                None => OutcomeKind::Served {
+                    resident: false,
+                    coalesced: i > 0,
+                },
+                Some(_) => OutcomeKind::Failed,
+            };
+            let mut o = self.board_outcome(backend, b, q, kind, error.clone());
+            if i == 0 {
+                (o.attempts, o.bytes, o.port_ns) = (attempts, job.bytes, job.port_ns);
+                o.started = job.started;
+            } else if error.is_none() {
+                o.generation = job.main.res.generation;
+            }
+            self.settle(m, o);
+        }
+        self.index_insert(b);
+        self.drain(backend, m);
     }
 
     /// Dispatch queued work onto idle boards until one side runs out.
@@ -1390,29 +1220,9 @@ impl<B: Backend> Shard<B> {
                 .expect("queued > 0");
             let q = self.queues[class].pop_front().expect("non-empty class");
             self.queued -= 1;
-            let key = (q.req.region, q.req.variant);
-            if self.cfg.coalesce {
-                if let Some(&ib) = self.inflight.get(&key) {
-                    m.coalesced.inc();
-                    shlog!(self, "rider id={} board={}", q.req.id, self.global(ib));
-                    let (rid, rclass) = (q.req.id, q.req.priority.name());
-                    let job = self.boards[ib as usize]
-                        .job
-                        .as_mut()
-                        .expect("inflight board has a job");
-                    let main_id = job.main.req.id;
-                    job.riders.push(q);
-                    if self.tracer.enabled() {
-                        let g = self.global(ib);
-                        self.tracer.record(
-                            TraceSpan::new(tid(rid), tid(main_id), "ride", self.now.ns(), 0)
-                                .on_board(g as u64)
-                                .field("class", FieldValue::Str(rclass)),
-                        );
-                    }
-                    continue;
-                }
-            }
+            let Some(q) = self.ride(m, q) else {
+                continue;
+            };
             let b = self.pick_idle(q.req.region).expect("idle non-empty");
             self.start_job(backend, m, b, q);
         }
@@ -1483,20 +1293,20 @@ impl<B: Backend> Shard<B> {
         let due = self.now.after_ns(r.download_ns + r.verify_ns);
         self.peak_buf = self.peak_buf.max(r.peak_buffer_words);
         if self.tracer.enabled() {
-            self.tracer.record(
-                TraceSpan::new(
-                    mtid,
-                    0,
-                    "migrate",
-                    self.now.ns(),
-                    r.download_ns + r.verify_ns,
-                )
-                .on_board(global as u64)
-                .field("region", FieldValue::U64(mv.region as u64))
-                .field("attempt", FieldValue::U64(attempts as u64))
-                .field("bytes", FieldValue::U64(bytes))
-                .field("status", FieldValue::Str(status_s)),
+            let mut span = TraceSpan::new(
+                mtid,
+                0,
+                "migrate",
+                self.now.ns(),
+                r.download_ns + r.verify_ns,
             );
+            span.board = global as i64;
+            let f = &mut span.fields;
+            f.push("region", FieldValue::U64(mv.region as u64));
+            f.push("attempt", FieldValue::U64(attempts as u64));
+            f.push("bytes", FieldValue::U64(bytes));
+            f.push("status", FieldValue::Str(status_s));
+            self.tracer.record(span);
         }
         flight!(
             self,
@@ -1574,8 +1384,11 @@ impl<B: Backend> Shard<B> {
     }
 }
 
-/// A terminal (no-board) outcome: resolution failure, rejection, shed.
-fn terminal(req: &SimRequest, kind: OutcomeKind, now: Vt, error: Option<String>) -> Outcome {
+/// The outcome of `req` concluding at `now` before any board, traffic
+/// or store result is known — what a request that never reached a
+/// board reports; [`Shard::board_outcome`] and the job path fill in
+/// the rest.
+fn outcome(req: &SimRequest, kind: OutcomeKind, now: Vt, error: Option<String>) -> Outcome {
     Outcome {
         id: req.id,
         payload: req.payload,
