@@ -24,8 +24,118 @@ use bitstream::{ConfigError, Packet, SYNC_WORD};
 use std::fmt;
 
 /// Big-endian u32 at byte offset `at` (caller guarantees bounds).
-fn be32(bytes: &[u8], at: usize) -> u32 {
+pub(crate) fn be32(bytes: &[u8], at: usize) -> u32 {
     u32::from_be_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
+}
+
+/// Check a container header `header_bytes` long: present, opening
+/// with `magic` and closing with the FNV-1a checksum of the bytes
+/// before it.
+pub(crate) fn check_header(
+    bytes: &[u8],
+    magic: [u8; 4],
+    header_bytes: usize,
+) -> Result<(), WireError> {
+    if bytes.len() < header_bytes {
+        return Err(WireError::Truncated { at: bytes.len() });
+    }
+    let found = [bytes[0], bytes[1], bytes[2], bytes[3]];
+    if found != magic {
+        return Err(WireError::BadMagic { found });
+    }
+    let expected = fnv1a_bytes(&bytes[..header_bytes - 4]);
+    let found = be32(bytes, header_bytes - 4);
+    if expected != found {
+        return Err(WireError::HeaderChecksum { expected, found });
+    }
+    Ok(())
+}
+
+/// What [`decode_section`] read from a section header.
+pub(crate) struct Section {
+    /// How the payload was coded.
+    pub(crate) mode: Mode,
+    /// Checksum over the decoded words (the header's last word).
+    pub(crate) checksum: u32,
+    /// Offset of the next section header (the payload padded to a word).
+    pub(crate) next: usize,
+}
+
+/// Read the `header_bytes`-long header of section `section` at `hdr` and
+/// decode its payload, appending the decoded words to `out` — the one
+/// section decoder of both containers. A header opens with the
+/// mode/span word and the payload byte length and closes with the
+/// decoded-words checksum. Delta modes are a [`WireError::BadMode`]
+/// unless `delta_ok`; they decode like their plain forms and leave the
+/// base XOR to the caller. Raw payloads must hold exactly the words the
+/// span promises; Huffman payloads decode to RLE tokens in `scratch`
+/// and must be used up.
+pub(crate) fn decode_section(
+    bytes: &[u8],
+    hdr: usize,
+    header_bytes: usize,
+    section: usize,
+    delta_ok: bool,
+    scratch: &mut Vec<u8>,
+    out: &mut Vec<u32>,
+) -> Result<Section, WireError> {
+    if hdr + header_bytes > bytes.len() {
+        return Err(WireError::Truncated { at: bytes.len() });
+    }
+    let w0 = be32(bytes, hdr);
+    let mode_byte = (w0 >> 24) as u8;
+    let words = (w0 & 0x00FF_FFFF) as usize;
+    let mode = match Mode::from_u8(mode_byte) {
+        Some(mode) if delta_ok || !mode.needs_base() => mode,
+        _ => {
+            return Err(WireError::BadMode {
+                section,
+                mode: mode_byte,
+            })
+        }
+    };
+    if words == 0 || words > SECTION_MAX_WORDS {
+        return Err(WireError::BadSectionSpan { section, words });
+    }
+    let encoded_len = be32(bytes, hdr + 4) as usize;
+    let payload_at = hdr + header_bytes;
+    let payload_end = payload_at + encoded_len;
+    let next = payload_at + encoded_len.next_multiple_of(4);
+    if payload_end > bytes.len() || next > bytes.len() {
+        return Err(WireError::Truncated { at: bytes.len() });
+    }
+    let payload = &bytes[payload_at..payload_end];
+    match mode {
+        Mode::Raw => {
+            let have = encoded_len / 4;
+            if have < words {
+                return Err(WireError::SectionUnderflow {
+                    section,
+                    words: have,
+                });
+            }
+            if have > words {
+                return Err(WireError::SectionOverflow { section });
+            }
+            out.extend(payload.chunks_exact(4).map(|w| be32(w, 0)));
+        }
+        Mode::Rle | Mode::DeltaRle => rle::decode_into(payload, payload_at, section, words, out)?,
+        Mode::HuffRle | Mode::HuffDeltaRle => {
+            scratch.clear();
+            let used = huff::decode(payload, payload_at, scratch)?;
+            if used != payload.len() {
+                return Err(WireError::TrailingBytes {
+                    at: payload_at + used,
+                });
+            }
+            rle::decode_into(scratch, payload_at, section, words, out)?;
+        }
+    }
+    Ok(Section {
+        mode,
+        checksum: be32(bytes, hdr + header_bytes - 4),
+        next,
+    })
 }
 
 /// Incremental reader over a `JWC1` container.
@@ -50,18 +160,7 @@ pub struct StreamingDecoder<'a> {
 impl<'a> StreamingDecoder<'a> {
     /// Validate the container header and position at the first section.
     pub fn new(bytes: &'a [u8]) -> Result<Self, WireError> {
-        if bytes.len() < HEADER_BYTES {
-            return Err(WireError::Truncated { at: bytes.len() });
-        }
-        let magic = [bytes[0], bytes[1], bytes[2], bytes[3]];
-        if magic != MAGIC {
-            return Err(WireError::BadMagic { found: magic });
-        }
-        let expected = fnv1a_bytes(&bytes[..HEADER_BYTES - 4]);
-        let found = be32(bytes, HEADER_BYTES - 4);
-        if expected != found {
-            return Err(WireError::HeaderChecksum { expected, found });
-        }
+        check_header(bytes, MAGIC, HEADER_BYTES)?;
         Ok(StreamingDecoder {
             bytes,
             idcode: be32(bytes, 4),
@@ -119,83 +218,28 @@ impl<'a> StreamingDecoder<'a> {
             }
             return Ok(None);
         }
-        let section = self.section;
-        let hdr = self.pos;
-        if hdr + SECTION_HEADER_BYTES > self.bytes.len() {
-            return Err(WireError::Truncated {
-                at: self.bytes.len(),
-            });
-        }
-        let w0 = be32(self.bytes, hdr);
-        let mode_byte = (w0 >> 24) as u8;
-        let decoded_words = (w0 & 0x00FF_FFFF) as usize;
-        let mode = Mode::from_u8(mode_byte).ok_or(WireError::BadMode {
+        let (section, hdr) = (self.section, self.pos);
+        self.buf.clear();
+        let Section {
+            mode,
+            checksum,
+            next,
+        } = decode_section(
+            self.bytes,
+            hdr,
+            SECTION_HEADER_BYTES,
             section,
-            mode: mode_byte,
-        })?;
-        if decoded_words == 0 || decoded_words > SECTION_MAX_WORDS {
-            return Err(WireError::BadSectionSpan {
-                section,
-                words: decoded_words,
-            });
-        }
-        let encoded_len = be32(self.bytes, hdr + 4) as usize;
+            true,
+            &mut self.scratch,
+            &mut self.buf,
+        )?;
         let start_frame = be32(self.bytes, hdr + 8) as usize;
         let delta_words = be32(self.bytes, hdr + 12) as usize;
-        let checksum = be32(self.bytes, hdr + 16);
-        let payload_at = hdr + SECTION_HEADER_BYTES;
-        let payload_end = payload_at + encoded_len;
-        let next = payload_at + encoded_len.next_multiple_of(4);
-        if payload_end > self.bytes.len() || next > self.bytes.len() {
-            return Err(WireError::Truncated {
-                at: self.bytes.len(),
-            });
-        }
-        let payload = &self.bytes[payload_at..payload_end];
-
-        self.buf.clear();
-        match mode {
-            Mode::Raw => {
-                match (encoded_len / 4).cmp(&decoded_words) {
-                    std::cmp::Ordering::Less => {
-                        return Err(WireError::SectionUnderflow {
-                            section,
-                            words: encoded_len / 4,
-                        })
-                    }
-                    std::cmp::Ordering::Greater => {
-                        return Err(WireError::SectionOverflow { section })
-                    }
-                    std::cmp::Ordering::Equal => {}
-                }
-                self.buf.reserve(decoded_words);
-                for k in 0..decoded_words {
-                    self.buf.push(be32(payload, 4 * k));
-                }
-            }
-            Mode::Rle | Mode::DeltaRle => {
-                rle::decode_into(payload, payload_at, section, decoded_words, &mut self.buf)?;
-            }
-            Mode::HuffRle | Mode::HuffDeltaRle => {
-                self.scratch.clear();
-                let used = huff::decode(payload, payload_at, &mut self.scratch)?;
-                if used != payload.len() {
-                    return Err(WireError::TrailingBytes {
-                        at: payload_at + used,
-                    });
-                }
-                rle::decode_into(
-                    &self.scratch,
-                    payload_at,
-                    section,
-                    decoded_words,
-                    &mut self.buf,
-                )?;
-            }
-        }
 
         if mode.needs_base() {
-            if delta_words > decoded_words || self.flr == 0 || !delta_words.is_multiple_of(self.flr)
+            if delta_words > self.buf.len()
+                || self.flr == 0
+                || !delta_words.is_multiple_of(self.flr)
             {
                 return Err(WireError::BadSectionSpan {
                     section,

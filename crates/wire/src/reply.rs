@@ -12,7 +12,8 @@
 //!   stream, just words read off one device the caller already knows;
 //! * no delta modes — the *point* of a readback is to learn what the
 //!   device holds, so there is no trusted base to delta against. Only
-//!   [`Mode::Raw`], [`Mode::Rle`] and [`Mode::HuffRle`] are legal, and
+//!   [`Mode::Raw`](crate::Mode::Raw), [`Mode::Rle`](crate::Mode::Rle)
+//!   and [`Mode::HuffRle`](crate::Mode::HuffRle) are legal, and
 //!   a reply naming a delta mode is rejected as a [`WireError::BadMode`].
 //!
 //! Layout: `"JWR1"` magic, total word count, section count, FNV-1a
@@ -22,11 +23,9 @@
 //! a streaming reader could bound its buffer exactly like the download
 //! decoder; every failure is the same typed [`WireError`] discipline.
 
+use crate::decode::{be32, check_header, decode_section};
 use crate::encode::Picker;
-use crate::{
-    fnv1a_bytes, fnv1a_sections, fnv1a_words, huff, rle, Mode, WireError, WireStats,
-    SECTION_MAX_WORDS,
-};
+use crate::{fnv1a_bytes, fnv1a_sections, fnv1a_words, WireError, WireStats, SECTION_MAX_WORDS};
 
 /// Reply container magic: "JWR1" (JPG wire reply, version 1).
 pub const REPLY_MAGIC: [u8; 4] = *b"JWR1";
@@ -47,11 +46,6 @@ pub struct EncodedReply {
     pub bytes: Vec<u8>,
     /// Size and per-mode accounting.
     pub stats: WireStats,
-}
-
-/// Big-endian u32 at byte offset `at` (caller guarantees bounds).
-fn be32(bytes: &[u8], at: usize) -> u32 {
-    u32::from_be_bytes([bytes[at], bytes[at + 1], bytes[at + 2], bytes[at + 3]])
 }
 
 /// Encode readback words into a `JWR1` reply container, picking the
@@ -91,18 +85,7 @@ pub fn encode_reply(words: &[u32]) -> EncodedReply {
 
 /// Decode a `JWR1` reply back to its words.
 pub fn decode_reply(bytes: &[u8]) -> Result<Vec<u32>, WireError> {
-    if bytes.len() < REPLY_HEADER_BYTES {
-        return Err(WireError::Truncated { at: bytes.len() });
-    }
-    let magic = [bytes[0], bytes[1], bytes[2], bytes[3]];
-    if magic != REPLY_MAGIC {
-        return Err(WireError::BadMagic { found: magic });
-    }
-    let expected = fnv1a_bytes(&bytes[..REPLY_HEADER_BYTES - 4]);
-    let found = be32(bytes, REPLY_HEADER_BYTES - 4);
-    if expected != found {
-        return Err(WireError::HeaderChecksum { expected, found });
-    }
+    check_header(bytes, REPLY_MAGIC, REPLY_HEADER_BYTES)?;
     let total_words = be32(bytes, 4) as usize;
     let section_count = be32(bytes, 8) as usize;
 
@@ -112,85 +95,27 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Vec<u32>, WireError> {
     let mut scratch = Vec::new();
     let mut pos = REPLY_HEADER_BYTES;
     for section in 0..section_count {
-        if pos + REPLY_SECTION_HEADER_BYTES > bytes.len() {
-            return Err(WireError::Truncated { at: bytes.len() });
-        }
-        let w0 = be32(bytes, pos);
-        let mode_byte = (w0 >> 24) as u8;
-        let decoded_words = (w0 & 0x00FF_FFFF) as usize;
-        let mode = Mode::from_u8(mode_byte).ok_or(WireError::BadMode {
-            section,
-            mode: mode_byte,
-        })?;
-        if mode.needs_base() {
-            // A readback reply has no base to delta against; a delta
-            // mode here is a malformed (or hostile) container.
-            return Err(WireError::BadMode {
-                section,
-                mode: mode_byte,
-            });
-        }
-        if decoded_words == 0 || decoded_words > SECTION_MAX_WORDS {
-            return Err(WireError::BadSectionSpan {
-                section,
-                words: decoded_words,
-            });
-        }
-        let encoded_len = be32(bytes, pos + 4) as usize;
-        let checksum = be32(bytes, pos + 8);
-        let payload_at = pos + REPLY_SECTION_HEADER_BYTES;
-        let payload_end = payload_at + encoded_len;
-        let next = payload_at + encoded_len.next_multiple_of(4);
-        if payload_end > bytes.len() || next > bytes.len() {
-            return Err(WireError::Truncated { at: bytes.len() });
-        }
-        let payload = &bytes[payload_at..payload_end];
-
         let start = out.len();
-        match mode {
-            Mode::Raw => {
-                match (encoded_len / 4).cmp(&decoded_words) {
-                    std::cmp::Ordering::Less => {
-                        return Err(WireError::SectionUnderflow {
-                            section,
-                            words: encoded_len / 4,
-                        })
-                    }
-                    std::cmp::Ordering::Greater => {
-                        return Err(WireError::SectionOverflow { section })
-                    }
-                    std::cmp::Ordering::Equal => {}
-                }
-                out.reserve(decoded_words);
-                for k in 0..decoded_words {
-                    out.push(be32(payload, 4 * k));
-                }
-            }
-            Mode::Rle => {
-                rle::decode_into(payload, payload_at, section, decoded_words, &mut out)?;
-            }
-            Mode::HuffRle => {
-                scratch.clear();
-                let used = huff::decode(payload, payload_at, &mut scratch)?;
-                if used != payload.len() {
-                    return Err(WireError::TrailingBytes {
-                        at: payload_at + used,
-                    });
-                }
-                rle::decode_into(&scratch, payload_at, section, decoded_words, &mut out)?;
-            }
-            Mode::DeltaRle | Mode::HuffDeltaRle => unreachable!("rejected above"),
-        }
-
+        // A readback reply has no base to delta against, so a delta
+        // mode here is a malformed (or hostile) container.
+        let sec = decode_section(
+            bytes,
+            pos,
+            REPLY_SECTION_HEADER_BYTES,
+            section,
+            false,
+            &mut scratch,
+            &mut out,
+        )?;
         let found = fnv1a_words(&out[start..]);
-        if found != checksum {
+        if found != sec.checksum {
             return Err(WireError::SectionChecksum {
                 section,
-                expected: checksum,
+                expected: sec.checksum,
                 found,
             });
         }
-        pos = next;
+        pos = sec.next;
     }
     if pos != bytes.len() {
         return Err(WireError::TrailingBytes { at: pos });
@@ -207,6 +132,7 @@ pub fn decode_reply(bytes: &[u8]) -> Result<Vec<u32>, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Mode;
 
     fn round_trip(words: &[u32]) -> EncodedReply {
         let enc = encode_reply(words);
