@@ -475,6 +475,7 @@ fn fleet_sim(args: &[String]) -> ExitCode {
             Some(v) => match v
                 .strip_prefix("sampled:")
                 .and_then(|k| k.parse::<u32>().ok())
+                .filter(|&k| k > 0)
             {
                 Some(k) => spec.verify = fleet::VerifyPolicy::Sampled { k },
                 None => {

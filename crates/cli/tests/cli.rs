@@ -648,7 +648,7 @@ fn fleet_sim_verify_policies_cut_readback_traffic() {
     assert!(table.contains("verify   : digest policy:"), "{table}");
 
     // Bad policies are rejected.
-    for bad in ["zip", "sampled", "sampled:x", "sampled:-1"] {
+    for bad in ["zip", "sampled", "sampled:x", "sampled:-1", "sampled:0"] {
         let out = Command::new(bin())
             .args(["fleet-sim", "--verify", bad])
             .output()

@@ -319,11 +319,15 @@ impl Backend for ModelBackend {
         let sample = |k: u32| (k as u64) * 192;
         let (verify_bytes, verify_flavor) = match self.verify {
             VerifyPolicy::Full => (res.bytes_verify, VerifyFlavor::Raw),
-            VerifyPolicy::Digest if corrupt => (
+            // Zero spot-checks is a plain digest verify, labelled as the
+            // real backend labels it.
+            VerifyPolicy::Digest | VerifyPolicy::Sampled { k: 0 } if corrupt => (
                 res.bytes_verify_digest + res.bytes_verify,
                 VerifyFlavor::Escalated,
             ),
-            VerifyPolicy::Digest => (res.bytes_verify_digest, VerifyFlavor::Digest),
+            VerifyPolicy::Digest | VerifyPolicy::Sampled { k: 0 } => {
+                (res.bytes_verify_digest, VerifyFlavor::Digest)
+            }
             VerifyPolicy::Sampled { k } if corrupt => (
                 res.bytes_verify_digest + sample(k) + res.bytes_verify,
                 VerifyFlavor::Escalated,
@@ -699,6 +703,25 @@ mod tests {
         // caught (first-attempt corruptions escalate; later ones hit the
         // adaptive raw tier directly) — never an accepted corruption.
         assert!(b.verify_escalations <= b.verify_failures);
+    }
+
+    #[test]
+    fn zero_spot_checks_count_as_digest_verifies() {
+        let spec = |verify| FleetSimSpec {
+            requests: 500,
+            fault_rate: 0.2,
+            verify,
+            ..FleetSimSpec::default()
+        };
+        let zero = simulate(&spec(VerifyPolicy::Sampled { k: 0 }));
+        let digest = simulate(&spec(VerifyPolicy::Digest));
+        assert_eq!(zero.verify_sampled, 0, "k = 0 samples nothing");
+        assert!(zero.verify_digest > 0);
+        assert_eq!(
+            (zero.verify_digest, zero.verify_escalations),
+            (digest.verify_digest, digest.verify_escalations)
+        );
+        assert_eq!(zero.readback_bytes, digest.readback_bytes);
     }
 
     #[test]
