@@ -286,6 +286,9 @@ impl ServingLibrary {
                 &incremental.bitstream,
                 Some(state.project.base_memory() as &dyn wire::FrameSource),
             );
+            // A clean raw verify reply is `expected` itself: code it
+            // once here, not on every resolve.
+            let wire_reply_bytes = wire::encode_reply(&expected).bytes.len();
             Ok(StoredPartial {
                 key,
                 full: full_bitstream(&wholesale.memory),
@@ -297,6 +300,7 @@ impl ServingLibrary {
                 incremental: incremental.bitstream,
                 wire_wholesale,
                 wire_incremental,
+                wire_reply_bytes,
             })
         });
         (

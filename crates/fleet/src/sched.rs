@@ -53,6 +53,7 @@ use crate::metrics::FleetMetrics;
 use crate::FleetError;
 use obs::trace::{json_string, FieldValue, ShardTracer, Trace, TraceSpan, TRACE_RING_CAPACITY};
 use reloc::{SlotMap, SlotMove};
+use simboard::port::download_ns;
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::time::Duration;
 
@@ -117,7 +118,9 @@ pub struct SimRequest {
     pub payload: u32,
 }
 
-/// What the store resolution step learned about a request's artifacts.
+/// What the store resolution step learned about a request's artifacts:
+/// the one per-key cost record both backends price from. Every byte
+/// field is what crosses the port on this run's wire.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resolved {
     /// Whether the store already held the generated bitstreams.
@@ -131,12 +134,16 @@ pub struct Resolved {
     pub bytes_wholesale: u64,
     /// Complete-bitstream bytes (the FullSwap baseline).
     pub bytes_full: u64,
-    /// Region-scoped readback reply bytes for one verification pass.
+    /// Region-scoped readback reply bytes for one clean verification
+    /// pass (a `JWR1` container on the compressed wire).
     pub bytes_verify: u64,
     /// Digest-reply bytes for one verification pass (per-frame FNV-1a/64
     /// digests plus the region rollup): what a digest-capable board
     /// sends instead of `bytes_verify` raw words.
     pub bytes_verify_digest: u64,
+    /// Reply bytes of one sampled raw frame (the frame plus its pad
+    /// frame).
+    pub bytes_sample: u64,
 }
 
 /// How downloads are verified after the bytes land.
@@ -178,6 +185,99 @@ impl VerifyPolicy {
             VerifyPolicy::Adaptive => "adaptive",
         }
     }
+
+    /// The tier attempt `attempt` (1-based) runs: the one place a
+    /// policy turns into verification work, for every backend.
+    pub fn tier(self, attempt: u32) -> VerifyTier {
+        match self {
+            VerifyPolicy::Full => VerifyTier::Raw,
+            VerifyPolicy::Digest => VerifyTier::Digest { k: 0 },
+            VerifyPolicy::Sampled { k } => VerifyTier::Digest { k },
+            // Adaptive: digest on a first attempt, full compare once a
+            // fault retry has made the board suspect.
+            VerifyPolicy::Adaptive if attempt <= 1 => VerifyTier::Digest { k: 0 },
+            VerifyPolicy::Adaptive => VerifyTier::Raw,
+        }
+    }
+}
+
+/// The verification one attempt runs (see [`VerifyPolicy::tier`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum VerifyTier {
+    /// Raw region readback compare.
+    Raw,
+    /// Digest compare, then `k` sampled raw frames when the digests
+    /// matched; any mismatch escalates to the raw compare.
+    Digest {
+        /// Raw frames spot-checked after clean digests.
+        k: u32,
+    },
+}
+
+/// What one read of the verification ladder found on the board.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Probe {
+    /// The words (or digests) matched the store's.
+    Match,
+    /// They differed.
+    Mismatch,
+    /// The readback itself failed.
+    Failed,
+}
+
+/// A board as the verification ladder sees it: the reads a tier is
+/// made of. Backends perform them; [`verify`] orders and prices them.
+pub(crate) trait Verifier {
+    /// Compare the device's region digests with the store's; `None`
+    /// when the board lacks digest readback (the pass then runs raw).
+    fn digest(&mut self) -> Option<Probe>;
+    /// Re-read this pass's next sampled raw frame and compare it.
+    fn sample(&mut self) -> Probe;
+    /// Compare the whole region raw; also returns the reply's port bytes.
+    fn raw(&mut self) -> (Probe, u64);
+}
+
+/// How one verification pass ended: its last probe (the raw compare's
+/// whenever one ran), the reply bytes that crossed the port, and how the
+/// pass ran.
+pub(crate) type Verdict = (Probe, u64, VerifyFlavor);
+
+/// Run one verification pass of `tier` on `board`, priced from `res`:
+/// digests first, the `k` sampled frames only after clean digests, and
+/// on any mismatch the raw compare, which alone decides.
+pub(crate) fn verify(tier: VerifyTier, res: &Resolved, board: &mut impl Verifier) -> Verdict {
+    let k = match tier {
+        VerifyTier::Raw => return raw_pass(board, 0, VerifyFlavor::Raw),
+        VerifyTier::Digest { k } => k,
+    };
+    let mut paid = res.bytes_verify_digest;
+    match board.digest() {
+        None => return raw_pass(board, 0, VerifyFlavor::Raw),
+        Some(Probe::Match) => {}
+        Some(Probe::Mismatch) => return raw_pass(board, paid, VerifyFlavor::Escalated),
+        Some(Probe::Failed) => return (Probe::Failed, paid, VerifyFlavor::Digest),
+    }
+    for _ in 0..k {
+        let probe = board.sample();
+        paid += res.bytes_sample;
+        match probe {
+            Probe::Match => {}
+            Probe::Mismatch => return raw_pass(board, paid, VerifyFlavor::Escalated),
+            Probe::Failed => return (Probe::Failed, paid, VerifyFlavor::Sampled),
+        }
+    }
+    let flavor = if k == 0 {
+        VerifyFlavor::Digest
+    } else {
+        VerifyFlavor::Sampled
+    };
+    (Probe::Match, paid, flavor)
+}
+
+/// The raw compare, after `paid` bytes of earlier probes.
+fn raw_pass(board: &mut impl Verifier, paid: u64, flavor: VerifyFlavor) -> Verdict {
+    let (probe, bytes) = board.raw();
+    (probe, paid + bytes, flavor)
 }
 
 /// How one attempt's verification actually ran (what the policy chose
@@ -240,6 +340,47 @@ pub struct DownloadResult {
     pub peak_buffer_words: u64,
     /// How the verification ran (digest, raw, escalated, …).
     pub verify_flavor: VerifyFlavor,
+}
+
+impl DownloadResult {
+    /// An attempt whose transfer faulted after pushing `bytes`: no
+    /// readback ran.
+    pub(crate) fn port_fault(error: String, bytes: u64, peak_buffer_words: u64) -> DownloadResult {
+        DownloadResult {
+            status: DownloadStatus::PortFault(error),
+            bytes,
+            download_ns: download_ns(bytes as usize),
+            verify_ns: 0,
+            readback_bytes: 0,
+            peak_buffer_words,
+            verify_flavor: VerifyFlavor::None,
+        }
+    }
+
+    /// An attempt whose `bytes` landed and whose verification ended in
+    /// `verdict`: verified on a match, mismatched otherwise. A failed
+    /// readback costs no reply bytes.
+    pub(crate) fn checked(bytes: u64, peak_buffer_words: u64, verdict: Verdict) -> DownloadResult {
+        let (probe, reply_bytes, verify_flavor) = verdict;
+        let readback_bytes = if probe == Probe::Failed {
+            0
+        } else {
+            reply_bytes
+        };
+        DownloadResult {
+            status: if probe == Probe::Match {
+                DownloadStatus::Verified
+            } else {
+                DownloadStatus::VerifyMismatch
+            },
+            bytes,
+            download_ns: download_ns(bytes as usize),
+            verify_ns: download_ns(readback_bytes as usize),
+            readback_bytes,
+            peak_buffer_words,
+            verify_flavor,
+        }
+    }
 }
 
 /// What a board's region currently holds.
@@ -761,8 +902,7 @@ impl<B: Backend> Shard<B> {
     ) -> Outcome {
         let mut o = outcome(&q.req, kind, self.now, error);
         o.board = Some(self.global(b));
-        o.store_hit = q.res.store_hit;
-        o.generation = q.res.generation;
+        (o.store_hit, o.generation) = (q.res.store_hit, q.res.generation);
         if o.served() {
             let state = &mut self.boards[b as usize].state;
             o.outputs = backend.finish(state, q.req.region, q.req.payload);
@@ -937,21 +1077,24 @@ impl<B: Backend> Shard<B> {
             self.start_job(backend, m, b, q);
             return;
         }
-        if self.queued >= self.cfg.queue_cap {
+        let (kind, e) = if self.queued >= self.cfg.queue_cap {
             shlog!(self, "reject id={}", q.req.id);
             let e = format!("queue full (cap {})", self.cfg.queue_cap);
-            self.settle(m, outcome(&q.req, OutcomeKind::Rejected, self.now, Some(e)));
-            return;
-        }
-        if q.req.priority == Priority::Low && self.queued >= self.cfg.shed_watermark {
+            (OutcomeKind::Rejected, e)
+        } else if q.req.priority == Priority::Low && self.queued >= self.cfg.shed_watermark {
             shlog!(self, "shed id={}", q.req.id);
             let e = format!("shed under load (watermark {})", self.cfg.shed_watermark);
-            self.settle(m, outcome(&q.req, OutcomeKind::Shed, self.now, Some(e)));
+            (OutcomeKind::Shed, e)
+        } else {
+            self.queues[q.req.priority.class()].push_back(q);
+            self.queued += 1;
+            self.queue_high = self.queue_high.max(self.queued);
             return;
-        }
-        self.queues[q.req.priority.class()].push_back(q);
-        self.queued += 1;
-        self.queue_high = self.queue_high.max(self.queued);
+        };
+        // Refused after resolution: the store result is already counted.
+        let mut o = outcome(&q.req, kind, self.now, Some(e));
+        (o.store_hit, o.generation) = (q.res.store_hit, q.res.generation);
+        self.settle(m, o);
     }
 
     /// Attach `q` as a rider to the download of its key in flight on
@@ -1386,8 +1529,8 @@ impl<B: Backend> Shard<B> {
 
 /// The outcome of `req` concluding at `now` before any board, traffic
 /// or store result is known — what a request that never reached a
-/// board reports; [`Shard::board_outcome`] and the job path fill in
-/// the rest.
+/// board reports; [`Shard::board_outcome`], the job path and refusals
+/// fill in the rest.
 fn outcome(req: &SimRequest, kind: OutcomeKind, now: Vt, error: Option<String>) -> Outcome {
     Outcome {
         id: req.id,

@@ -17,15 +17,15 @@ use crate::library::ServingLibrary;
 use crate::metrics::FleetMetrics;
 pub use crate::sched::ServeMode;
 use crate::sched::{
-    self, Backend, DownloadResult, DownloadStatus, Flavor, Outcome, OutcomeKind, Priority,
-    Resident, Resolved, SchedConfig, SimRequest, VerifyFlavor, VerifyPolicy,
+    self, Backend, DownloadResult, Flavor, Outcome, OutcomeKind, Priority, Probe, Resident,
+    Resolved, SchedConfig, SimRequest, Verifier, VerifyPolicy,
 };
 use crate::store::StoredPartial;
 use crate::FleetError;
 use bitstream::Bitstream;
 use jbits::Xhwif;
-use simboard::port::{download_time, FaultInjector};
-use simboard::SimBoard;
+use simboard::port::download_time;
+use simboard::{FaultInjector, SimBoard};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -174,191 +174,117 @@ struct RealBackend<'a> {
     verify: VerifyPolicy,
 }
 
-/// What one verification pass cost and found.
-struct VerifyOutcome {
-    /// Whether the region matched the stored expectation. `None` means
-    /// the readback itself failed (indistinguishable from a mismatch to
-    /// the retry loop, but priced at zero reply bytes).
-    matched: Option<bool>,
-    /// Reply bytes that crossed the port (digests + raw replies).
-    reply_bytes: u64,
-    /// How the verification ran.
-    flavor: VerifyFlavor,
-}
-
 impl RealBackend<'_> {
     fn catalog(&self, region: u32) -> &crate::library::RegionCatalog {
         &self.library.regions()[region as usize]
     }
 
-    /// Raw region readback compare against `art.expected`. Under the
-    /// compressed wire format the reply crosses the port as a `JWR1`
-    /// container ([`wire::encode_reply`]), so even full verifies and
-    /// digest escalations stop paying wholesale frame bytes.
-    fn raw_verify(&self, board: &mut RealBoard, art: &StoredPartial) -> VerifyOutcome {
-        let cat = &self.library.regions()[art.key.region];
-        board.readback.clear();
-        let mut reply_words = 0usize;
-        for r in &cat.verify_ranges {
-            match board
-                .board
-                .get_configuration_region_into(*r, &mut board.readback)
-            {
-                // The physical reply carries one pad frame per read.
-                Ok(()) => reply_words += (r.len + 1) * self.frame_words,
-                Err(_) => {
-                    return VerifyOutcome {
-                        matched: None,
-                        reply_bytes: 0,
-                        flavor: VerifyFlavor::Raw,
-                    }
-                }
-            }
-        }
-        let reply_bytes = match self.wire {
-            WireFormat::Plain => reply_words as u64 * 4,
-            WireFormat::Compressed => wire::encode_reply(&board.readback).bytes.len() as u64,
+    /// The cost record of a stored entry: what each download and each
+    /// verification read puts on this run's wire. Partials cross a
+    /// compressed wire as their `JWC1` containers and raw replies as
+    /// `JWR1` containers; full bitstreams and digest replies stay plain.
+    fn resolved(&self, stored: &StoredPartial, store_hit: bool) -> Resolved {
+        // A raw region reply carries one pad frame per read.
+        let frame_bytes = self.frame_words as u64 * 4;
+        let ranges = &self.library.regions()[stored.key.region].verify_ranges;
+        let reply_frames: usize = ranges.iter().map(|r| r.len + 1).sum();
+        let (bytes_incremental, bytes_wholesale, bytes_verify) = match self.wire {
+            WireFormat::Plain => (
+                stored.incremental.byte_len(),
+                stored.wholesale.byte_len(),
+                reply_frames as u64 * frame_bytes,
+            ),
+            WireFormat::Compressed => (
+                stored.wire_incremental.bytes.len(),
+                stored.wire_wholesale.bytes.len(),
+                stored.wire_reply_bytes as u64,
+            ),
         };
-        VerifyOutcome {
-            matched: Some(board.readback == art.expected),
-            reply_bytes,
-            flavor: VerifyFlavor::Raw,
+        Resolved {
+            store_hit,
+            generation: stored.key.epoch,
+            bytes_incremental: bytes_incremental as u64,
+            bytes_wholesale: bytes_wholesale as u64,
+            bytes_full: stored.full.byte_len() as u64,
+            bytes_verify,
+            bytes_verify_digest: stored.expected_digests.port_bytes() as u64,
+            bytes_sample: 2 * frame_bytes,
+        }
+    }
+}
+
+/// A real board's answers to the verification ladder, compared against
+/// the store's reference words and digests for one attempt.
+struct RealVerify<'a> {
+    board: &'a mut RealBoard,
+    art: &'a StoredPartial,
+    res: &'a Resolved,
+    ranges: &'a [bitstream::FrameRange],
+    frame_words: usize,
+    wire: WireFormat,
+    /// Splitmix state picking the sampled frames: seeded per (board,
+    /// key, attempt), so the picks do not depend on worker count.
+    seed: u64,
+}
+
+impl Verifier for RealVerify<'_> {
+    fn digest(&mut self) -> Option<Probe> {
+        let want = &self.art.expected_digests;
+        let mut frames: Vec<u64> = Vec::with_capacity(want.frames.len());
+        for r in self.ranges {
+            match self.board.board.get_region_digests(*r)? {
+                Err(_) => return Some(Probe::Failed),
+                Ok(d) => frames.extend_from_slice(&d.frames),
+            }
+        }
+        let clean = frames == want.frames && virtex::rollup_digest64(&frames) == want.rollup;
+        Some(if clean { Probe::Match } else { Probe::Mismatch })
+    }
+
+    fn sample(&mut self) -> Probe {
+        self.seed = self.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.seed;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        let frames = || self.ranges.iter().flat_map(|r| r.frames());
+        let pick = ((z ^ (z >> 31)) % frames().count().max(1) as u64) as usize;
+        let one = bitstream::FrameRange::new(frames().nth(pick).unwrap_or(0), 1);
+        let b = &mut *self.board;
+        b.readback.clear();
+        if b.board
+            .get_configuration_region_into(one, &mut b.readback)
+            .is_err()
+        {
+            return Probe::Failed;
+        }
+        let fw = self.frame_words;
+        if b.readback == self.art.expected[pick * fw..(pick + 1) * fw] {
+            Probe::Match
+        } else {
+            Probe::Mismatch
         }
     }
 
-    /// Digest-tier verification: device-side per-frame digests against
-    /// the store-time reference, optionally spot-checking `sample_k`
-    /// deterministic pseudo-random raw frames, escalating to
-    /// [`Self::raw_verify`] on any mismatch. A digest mismatch never
-    /// fails the attempt directly — the raw compare is authoritative.
-    fn digest_verify(
-        &self,
-        board: &mut RealBoard,
-        global: u32,
-        attempt: u32,
-        art: &StoredPartial,
-        sample_k: u32,
-    ) -> VerifyOutcome {
-        let cat = &self.library.regions()[art.key.region];
-        let mut frames: Vec<u64> = Vec::with_capacity(art.expected_digests.frames.len());
-        for r in &cat.verify_ranges {
-            match board.board.get_region_digests(*r) {
-                // Capability missing: the whole verify falls back to
-                // the raw path (never a failure).
-                None => return self.raw_verify(board, art),
-                Some(Err(_)) => {
-                    return VerifyOutcome {
-                        matched: None,
-                        reply_bytes: 0,
-                        flavor: VerifyFlavor::Digest,
-                    }
-                }
-                Some(Ok(d)) => frames.extend_from_slice(&d.frames),
-            }
-        }
-        let digest_bytes = 8 * frames.len() as u64 + 8;
-        let clean = frames == art.expected_digests.frames
-            && virtex::rollup_digest64(&frames) == art.expected_digests.rollup;
-        if !clean {
-            // Escalate: the raw compare decides, and its reply rides
-            // the compressed coding on a compressed wire.
-            let raw = self.raw_verify(board, art);
-            return VerifyOutcome {
-                matched: raw.matched,
-                reply_bytes: digest_bytes + raw.reply_bytes,
-                flavor: VerifyFlavor::Escalated,
-            };
-        }
-        if sample_k == 0 {
-            return VerifyOutcome {
-                matched: Some(true),
-                reply_bytes: digest_bytes,
-                flavor: VerifyFlavor::Digest,
-            };
-        }
-        // Sampled spot-check: re-read `sample_k` raw frames chosen by a
-        // seeded splitmix over (board, key, attempt) — deterministic at
-        // any worker count because the virtual schedule is.
-        let total: usize = cat.verify_ranges.iter().map(|r| r.len).sum();
-        let mut seed = (global as u64) << 40
-            ^ (art.key.region as u64) << 24
-            ^ (art.key.variant as u64) << 12
-            ^ attempt as u64
-            ^ 0x5EED_D16E_57ED;
-        let mut sample_bytes = 0u64;
-        for _ in 0..sample_k {
-            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = seed;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            let pick = ((z ^ (z >> 31)) % total.max(1) as u64) as usize;
-            // Map the flat frame index back into its verify range.
-            let (range_start, offset) = {
-                let mut left = pick;
-                let mut hit = (0usize, 0usize);
-                for r in &cat.verify_ranges {
-                    if left < r.len {
-                        hit = (r.start, left);
-                        break;
-                    }
-                    left -= r.len;
-                }
-                hit
-            };
-            let one = bitstream::FrameRange::new(range_start + offset, 1);
-            board.readback.clear();
-            match board
-                .board
-                .get_configuration_region_into(one, &mut board.readback)
+    fn raw(&mut self) -> (Probe, u64) {
+        let b = &mut *self.board;
+        b.readback.clear();
+        for r in self.ranges {
+            if b.board
+                .get_configuration_region_into(*r, &mut b.readback)
+                .is_err()
             {
-                Err(_) => {
-                    return VerifyOutcome {
-                        matched: None,
-                        reply_bytes: digest_bytes + sample_bytes,
-                        flavor: VerifyFlavor::Sampled,
-                    }
-                }
-                Ok(()) => {
-                    sample_bytes += ((1 + 1) * self.frame_words) as u64 * 4;
-                    let fw = self.frame_words;
-                    let want = &art.expected[pick * fw..(pick + 1) * fw];
-                    if board.readback != want {
-                        let raw = self.raw_verify(board, art);
-                        return VerifyOutcome {
-                            matched: raw.matched,
-                            reply_bytes: digest_bytes + sample_bytes + raw.reply_bytes,
-                            flavor: VerifyFlavor::Escalated,
-                        };
-                    }
-                }
+                return (Probe::Failed, 0);
             }
         }
-        VerifyOutcome {
-            matched: Some(true),
-            reply_bytes: digest_bytes + sample_bytes,
-            flavor: VerifyFlavor::Sampled,
+        if b.readback == self.art.expected {
+            return (Probe::Match, self.res.bytes_verify);
         }
-    }
-
-    /// Dispatch one verification pass per the configured policy.
-    fn verify_pass(
-        &self,
-        board: &mut RealBoard,
-        global: u32,
-        attempt: u32,
-        art: &StoredPartial,
-    ) -> VerifyOutcome {
-        match self.verify {
-            VerifyPolicy::Full => self.raw_verify(board, art),
-            VerifyPolicy::Digest => self.digest_verify(board, global, attempt, art, 0),
-            VerifyPolicy::Sampled { k } => self.digest_verify(board, global, attempt, art, k),
-            // Adaptive: digest on a first attempt, full compare once a
-            // fault retry has made the board suspect.
-            VerifyPolicy::Adaptive if attempt <= 1 => {
-                self.digest_verify(board, global, attempt, art, 0)
-            }
-            VerifyPolicy::Adaptive => self.raw_verify(board, art),
-        }
+        // A corrupted reply codes to its own `JWR1` length.
+        let bytes = match self.wire {
+            WireFormat::Plain => self.res.bytes_verify,
+            WireFormat::Compressed => wire::encode_reply(&b.readback).bytes.len() as u64,
+        };
+        (Probe::Mismatch, bytes)
     }
 }
 
@@ -371,34 +297,7 @@ impl Backend for RealBackend<'_> {
             .library
             .resolve(req.region as usize, req.variant as usize);
         let stored = stored.map_err(|e| e.to_string())?;
-        let verify_words: usize = self
-            .catalog(req.region)
-            .verify_ranges
-            .iter()
-            .map(|r| (r.len + 1) * self.frame_words)
-            .sum();
-        // Under the compressed wire format the scheduler's cost model
-        // must price what actually crosses the port: the container
-        // bytes. Readback replies and full bitstreams stay plain.
-        let (bytes_incremental, bytes_wholesale) = match self.wire {
-            WireFormat::Plain => (
-                stored.incremental.byte_len() as u64,
-                stored.wholesale.byte_len() as u64,
-            ),
-            WireFormat::Compressed => (
-                stored.wire_incremental.bytes.len() as u64,
-                stored.wire_wholesale.bytes.len() as u64,
-            ),
-        };
-        let res = Resolved {
-            store_hit: hit,
-            generation: stored.key.epoch,
-            bytes_incremental,
-            bytes_wholesale,
-            bytes_full: stored.full.byte_len() as u64,
-            bytes_verify: verify_words as u64 * 4,
-            bytes_verify_digest: stored.expected_digests.port_bytes() as u64,
-        };
+        let res = self.resolved(&stored, hit);
         Ok((stored, res))
     }
 
@@ -409,36 +308,23 @@ impl Backend for RealBackend<'_> {
         art: &Arc<StoredPartial>,
         flavor: Flavor,
         attempt: u32,
-        _res: &Resolved,
+        res: &Resolved,
     ) -> DownloadResult {
         // Partial flavors optionally cross the port as compressed wire
-        // containers, decoded stream-wise device-side; full swaps model
-        // the legacy no-partial-reconfiguration flow and always ship
-        // plain.
-        // Wire downloads surface the device-side decoder's buffer
-        // high-water mark; plain downloads never touch the decoder.
-        let (configured, bytes) = match (self.wire, flavor) {
-            (WireFormat::Compressed, Flavor::Incremental) => {
-                let c = &art.wire_incremental.bytes;
-                (
-                    board
-                        .board
-                        .set_configuration_wire(c)
-                        .map(|s| s.peak_buffer_words as u64),
-                    c.len(),
-                )
-            }
-            (WireFormat::Compressed, Flavor::Wholesale) => {
-                let c = &art.wire_wholesale.bytes;
-                (
-                    board
-                        .board
-                        .set_configuration_wire(c)
-                        .map(|s| s.peak_buffer_words as u64),
-                    c.len(),
-                )
-            }
-            _ => {
+        // containers, decoded stream-wise device-side, which surfaces the
+        // decoder's buffer high-water mark; full swaps model the legacy
+        // no-partial-reconfiguration flow and always ship plain.
+        let container = match (self.wire, flavor) {
+            (WireFormat::Compressed, Flavor::Incremental) => Some(&art.wire_incremental),
+            (WireFormat::Compressed, Flavor::Wholesale) => Some(&art.wire_wholesale),
+            _ => None,
+        };
+        let (configured, bytes) = match container {
+            Some(c) => (
+                (board.board.set_configuration_wire(&c.bytes)).map(|s| s.peak_buffer_words as u64),
+                c.bytes.len(),
+            ),
+            None => {
                 let stream: &Bitstream = match flavor {
                     Flavor::Incremental => &art.incremental,
                     Flavor::Wholesale => &art.wholesale,
@@ -450,46 +336,30 @@ impl Backend for RealBackend<'_> {
                 )
             }
         };
-        let dl = download_time(bytes).as_nanos() as u64;
         let bytes = bytes as u64;
         let peak = match configured {
             Ok(p) => p,
-            Err(e) => {
-                return DownloadResult {
-                    status: DownloadStatus::PortFault(e.to_string()),
-                    bytes,
-                    download_ns: dl,
-                    verify_ns: 0,
-                    readback_bytes: 0,
-                    peak_buffer_words: 0,
-                    verify_flavor: VerifyFlavor::None,
-                }
-            }
+            Err(e) => return DownloadResult::port_fault(e.to_string(), bytes, 0),
         };
-        // Verification per the configured policy — from a full raw
-        // readback compare down to digest-only, always escalating a
-        // digest mismatch to the authoritative raw compare (costs port
-        // time proportional to what actually crosses the port, the
-        // point of `Xhwif::get_region_digests`).
-        let v = self.verify_pass(board, global, attempt, art);
-        let verify_ns = download_time(v.reply_bytes as usize).as_nanos() as u64;
-        let status = match v.matched {
-            Some(true) => DownloadStatus::Verified,
-            Some(false) | None => DownloadStatus::VerifyMismatch,
+        // Verify per the policy's tier for this attempt: only what
+        // actually crosses the port costs port time, the point of
+        // `Xhwif::get_region_digests`.
+        let key = art.key;
+        let mut probe = RealVerify {
+            board,
+            art,
+            res,
+            ranges: &self.catalog(key.region as u32).verify_ranges,
+            frame_words: self.frame_words,
+            wire: self.wire,
+            seed: (global as u64) << 40
+                ^ (key.region as u64) << 24
+                ^ (key.variant as u64) << 12
+                ^ attempt as u64
+                ^ 0x5EED_D16E_57ED,
         };
-        DownloadResult {
-            status,
-            bytes,
-            download_ns: dl,
-            verify_ns: if v.matched.is_some() { verify_ns } else { 0 },
-            readback_bytes: if v.matched.is_some() {
-                v.reply_bytes
-            } else {
-                0
-            },
-            peak_buffer_words: peak,
-            verify_flavor: v.flavor,
-        }
+        let verdict = sched::verify(self.verify.tier(attempt), res, &mut probe);
+        DownloadResult::checked(bytes, peak, verdict)
     }
 
     fn finish(&self, board: &mut RealBoard, region: u32, payload: u32) -> Vec<(String, bool)> {
@@ -550,14 +420,8 @@ impl Fleet {
     pub fn inject_faults(&mut self, rate: f64, seed: u64) {
         let inner = self.inner.get_mut().expect("fleet lock");
         for (i, slot) in inner.boards.iter_mut().enumerate() {
-            slot.board.set_fault_injector(if rate > 0.0 {
-                Some(FaultInjector::new(
-                    rate,
-                    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64),
-                ))
-            } else {
-                None
-            });
+            slot.board
+                .set_fault_injector(FaultInjector::for_board(rate, seed, i));
         }
     }
 
@@ -713,5 +577,260 @@ impl FleetReport {
             return f64::INFINITY;
         }
         self.served as f64 / self.makespan.as_secs_f64()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::{FleetSimSpec, ModelBackend};
+    use crate::trace::TraceSpec;
+    use obs::trace::FieldValue;
+    use std::collections::HashMap;
+    use virtex::Device;
+
+    const BOARDS: usize = 3;
+
+    /// Two full-height regions on an XCV50 with two variants each, as
+    /// in the serving integration tests.
+    fn library() -> ServingLibrary {
+        let rows = Device::XCV50.geometry().clb_rows as i32 - 1;
+        let catalogues = vec![
+            (
+                "r1/".to_string(),
+                vec![
+                    cadflow::gen::counter("up", 3),
+                    cadflow::gen::gray_counter("gray", 3),
+                ],
+            ),
+            (
+                "r2/".to_string(),
+                vec![
+                    cadflow::gen::down_counter("down", 3),
+                    cadflow::gen::lfsr("lfsr", 3),
+                ],
+            ),
+        ];
+        let modules: Vec<jpg::workflow::ModuleSpec> = (catalogues.iter().zip([1, 7]))
+            .map(|((prefix, netlists), col)| jpg::workflow::ModuleSpec {
+                prefix: prefix.clone(),
+                netlist: netlists[0].clone(),
+                region: xdl::Rect::new(0, col, rows, col + 3),
+            })
+            .collect();
+        let base = jpg::workflow::build_base("fleet-test", Device::XCV50, &modules, 7)
+            .expect("base design");
+        ServingLibrary::build(&base, &catalogues, 90).expect("library")
+    }
+
+    fn backend<'a>(
+        library: &'a ServingLibrary,
+        requests: &'a [Request],
+        wire: WireFormat,
+        verify: VerifyPolicy,
+    ) -> RealBackend<'a> {
+        RealBackend {
+            library,
+            requests,
+            frame_words: virtex::ConfigGeometry::for_device(library.device()).frame_words(),
+            wire,
+            verify,
+        }
+    }
+
+    /// Every key's cost record, built by the helper `resolve` uses.
+    fn cost_records(backend: &RealBackend) -> HashMap<(u32, u32), Resolved> {
+        let mut costs = HashMap::new();
+        for (r, cat) in backend.library.regions().iter().enumerate() {
+            for v in 0..cat.variants.len() {
+                let (stored, hit) = backend.library.resolve(r, v);
+                let res = backend.resolved(&stored.expect("entry generates"), hit);
+                costs.insert((r as u32, v as u32), res);
+            }
+        }
+        costs
+    }
+
+    /// `n` base-configured boards, each with its per-board injector.
+    fn boards(library: &ServingLibrary, n: usize, fault_rate: f64, seed: u64) -> Vec<RealBoard> {
+        let base = library.base_bitstream();
+        (0..n)
+            .map(|i| {
+                let mut board = SimBoard::new(library.device());
+                board.set_configuration(&base).expect("base download");
+                board.set_fault_injector(FaultInjector::for_board(fault_rate, seed, i));
+                RealBoard {
+                    board,
+                    readback: Vec::new(),
+                }
+            })
+            .collect()
+    }
+
+    /// A seeded trace over the library's keys; payloads index the
+    /// matching one-clock requests.
+    fn trace(library: &ServingLibrary, requests: usize, seed: u64) -> Vec<SimRequest> {
+        let spec = TraceSpec {
+            requests,
+            regions: library.regions().len() as u32,
+            variants: 2,
+            zipf_s: 0.5,
+            mean_gap_ns: 200_000,
+            burst: 4,
+            high_fraction: 0.1,
+            low_fraction: 0.1,
+            seed,
+        };
+        let trace = spec.generate().into_iter().enumerate();
+        trace
+            .map(|(i, r)| SimRequest {
+                payload: i as u32,
+                ..r
+            })
+            .collect()
+    }
+
+    fn requests(trace: &[SimRequest]) -> Vec<Request> {
+        (trace.iter())
+            .map(|r| Request::new(r.id, r.region as usize, r.variant as usize, 1))
+            .collect()
+    }
+
+    fn sched_cfg(mode: ServeMode, verify: VerifyPolicy, trace: bool) -> SchedConfig {
+        SchedConfig {
+            mode,
+            shards: 1,
+            log_events: true,
+            trace,
+            verify,
+            ..SchedConfig::default()
+        }
+    }
+
+    /// The model is the real backend minus the fabric: fed the real
+    /// library's cost records, it schedules a fault-free trace exactly
+    /// as the real boards do, on every wire and verify policy.
+    #[test]
+    fn model_on_real_cost_records_matches_the_real_backend() {
+        let library = library();
+        let trace = trace(&library, 120, 11);
+        let requests = requests(&trace);
+        let resident = vec![vec![Resident::Base; library.regions().len()]; BOARDS];
+        let policies = [
+            VerifyPolicy::Full,
+            VerifyPolicy::Digest,
+            VerifyPolicy::Sampled { k: 2 },
+            VerifyPolicy::Adaptive,
+        ];
+        let modes = [ServeMode::Partial, ServeMode::FullSwap];
+        let wires = [WireFormat::Plain, WireFormat::Compressed];
+        for (mode, wire) in modes.into_iter().flat_map(|m| wires.map(|w| (m, w))) {
+            for verify in policies {
+                // The model's miss prepass assumes a cold store.
+                for region in 0..library.regions().len() {
+                    library.store().purge_region(region);
+                }
+                let real = backend(&library, &requests, wire, verify);
+                let (real_m, model_m) = (FleetMetrics::new(), FleetMetrics::new());
+                let cfg = sched_cfg(mode, verify, false);
+                let (states, res) = (boards(&library, BOARDS, 0.0, 0), resident.clone());
+                let a = sched::run(&real, &real_m, &cfg, trace.clone(), states, res);
+                let model = ModelBackend::with_sizes(cost_records(&real), wire, verify, &trace);
+                let spec = FleetSimSpec {
+                    boards: BOARDS,
+                    ..FleetSimSpec::default()
+                };
+                let states = ModelBackend::boards(&spec);
+                let b = sched::run(
+                    &model,
+                    &model_m,
+                    &cfg,
+                    trace.clone(),
+                    states,
+                    resident.clone(),
+                );
+                let case = format!("{mode:?} / {wire:?} / {verify:?}");
+                let strip = |o: &Outcome| Outcome {
+                    outputs: Vec::new(),
+                    ..o.clone()
+                };
+                let (oa, ob): (Vec<_>, Vec<_>) = (
+                    a.outcomes.iter().map(strip).collect(),
+                    b.outcomes.iter().map(strip).collect(),
+                );
+                assert_eq!(oa, ob, "{case}: outcomes");
+                assert_eq!(a.event_log, b.event_log, "{case}: event log");
+                assert_eq!(a.busy_ns, b.busy_ns, "{case}: board busy time");
+                let counters = |m: &FleetMetrics| {
+                    [
+                        &m.downloads,
+                        &m.download_bytes,
+                        &m.readback_bytes,
+                        &m.verify_raw,
+                        &m.verify_digest,
+                        &m.verify_sampled,
+                        &m.verify_escalations,
+                    ]
+                    .map(|c| c.get())
+                };
+                assert_eq!(counters(&real_m), counters(&model_m), "{case}: counters");
+                assert!(real_m.downloads.get() >= 4, "{case}: the keys churn");
+                assert!(oa.iter().all(|o| o.served()), "{case}: fault-free");
+            }
+        }
+    }
+
+    /// On the compressed wire a clean raw reply costs its `JWR1` length,
+    /// taken from the store rather than coded per verification.
+    #[test]
+    fn compressed_cost_records_price_the_clean_jwr1_reply() {
+        let library = library();
+        let verify = VerifyPolicy::Full;
+        let costs = cost_records(&backend(&library, &[], WireFormat::Compressed, verify));
+        for (&(r, v), res) in &costs {
+            let stored = library.resolve(r as usize, v as usize).0.expect("stored");
+            let reply = wire::encode_reply(&stored.expected).bytes.len() as u64;
+            assert_eq!(res.bytes_verify, reply);
+            assert_eq!(
+                res.bytes_wholesale,
+                stored.wire_wholesale.bytes.len() as u64
+            );
+        }
+    }
+
+    /// On the real boards a corrupt fate under `Sampled { k }` fails the
+    /// digests and escalates before any sampled frame is read.
+    #[test]
+    fn real_sampled_escalations_pay_digest_and_raw_only() {
+        let library = library();
+        let verify = VerifyPolicy::Sampled { k: 2 };
+        let trace = trace(&library, 800, 5);
+        let requests = requests(&trace);
+        let real = backend(&library, &requests, WireFormat::Plain, verify);
+        // One board holds one variant per region, so the keys churn.
+        let resident = vec![vec![Resident::Base; library.regions().len()]];
+        let states = boards(&library, 1, 0.05, 3);
+        let out = sched::run(
+            &real,
+            &FleetMetrics::new(),
+            &sched_cfg(ServeMode::Partial, verify, true),
+            trace.clone(),
+            states,
+            resident,
+        );
+        let costs = cost_records(&real);
+        let mut escalated = 0;
+        for span in out.trace.spans.iter().filter(|s| s.stage == "verify") {
+            let field = |key| span.fields.iter().find(|(k, _)| *k == key).map(|f| f.1);
+            if field("flavor") != Some(FieldValue::Str("escalated")) {
+                continue;
+            }
+            let req = trace[(span.trace - 1) as usize];
+            let res = &costs[&(req.region, req.variant)];
+            let want = res.bytes_verify_digest + res.bytes_verify;
+            assert_eq!(field("bytes"), Some(FieldValue::U64(want)));
+            escalated += 1;
+        }
+        assert!(escalated >= 2, "{escalated} corrupt fates escalated");
     }
 }

@@ -3,11 +3,11 @@
 //!
 //! The real backend (`service.rs`) drives actual `SimBoard` fabric —
 //! cycle-accurate but far too heavy to instantiate ten thousand times.
-//! [`ModelBackend`] keeps only what the *scheduler* observes: per-key
-//! bitstream byte counts (priced through the same 50 MHz SelectMAP
-//! byte-cycle model as real downloads, via
-//! [`simboard::port::download_ns`]) and a per-board deterministic
-//! [`FaultInjector`] reusing `simboard`'s exact fault fates. Store
+//! [`ModelBackend`] keeps only what the *scheduler* observes: the
+//! per-key cost record ([`Resolved`], priced through the same 50 MHz
+//! SelectMAP byte-cycle model and the same verify ladder as real
+//! downloads) and a per-board deterministic [`FaultInjector`] reusing
+//! `simboard`'s exact fault fates. Store
 //! behaviour is modelled by a prepass over the trace: the first request
 //! to touch each `(region, variant)` pays the store miss, everyone
 //! after hits — which makes per-request `store_hit` flags deterministic
@@ -20,8 +20,8 @@
 use crate::clock::Vt;
 use crate::metrics::FleetMetrics;
 use crate::sched::{
-    self, Backend, DefragConfig, DownloadResult, DownloadStatus, Flavor, Outcome, Resident,
-    Resolved, SchedConfig, ServeMode, SimRequest, VerifyFlavor, VerifyPolicy,
+    self, Backend, DefragConfig, DownloadResult, Flavor, Outcome, Probe, Resident, Resolved,
+    SchedConfig, ServeMode, SimRequest, Verifier, VerifyPolicy,
 };
 use crate::service::WireFormat;
 use crate::trace::TraceSpec;
@@ -71,10 +71,10 @@ pub struct FleetSimSpec {
     pub wire: WireFormat,
     /// Retry budget per request.
     pub max_attempts: u32,
-    /// How downloads are verified: [`VerifyPolicy::Full`] prices the
-    /// raw readback reply per attempt, the digest tiers price digest
-    /// bytes (escalating to the raw reply on a corrupt fate, so a
-    /// corrupt download is never accepted on digests alone).
+    /// How downloads are verified: each attempt runs the policy's
+    /// [`sched::VerifyTier`] through the same ladder as the real
+    /// backend. A corrupt fate fails the digests and escalates to the
+    /// raw reply, so it is never accepted on digests alone.
     pub verify: VerifyPolicy,
     /// Per-shard admission queue bound.
     pub queue_cap: usize,
@@ -191,6 +191,8 @@ fn model_sizes(spec: &FleetSimSpec) -> HashMap<(u32, u32), Resolved> {
                     bytes_full: full,
                     bytes_verify: verify,
                     bytes_verify_digest: verify_digest,
+                    // One raw frame plus its pad frame.
+                    bytes_sample: 192,
                 },
             );
         }
@@ -206,7 +208,6 @@ pub struct ModelBoard {
 /// The scale-harness backend: byte-count costs, no fabric.
 pub struct ModelBackend {
     regions: u32,
-    variants: u32,
     sizes: HashMap<(u32, u32), Resolved>,
     miss_ids: HashSet<u64>,
     wire: WireFormat,
@@ -217,20 +218,29 @@ impl ModelBackend {
     /// A backend for `spec`, with store misses assigned to the first
     /// request of each key in `trace` order.
     pub fn new(spec: &FleetSimSpec, trace: &[SimRequest]) -> ModelBackend {
+        ModelBackend::with_sizes(model_sizes(spec), spec.wire, spec.verify, trace)
+    }
+
+    /// A backend pricing each `(region, variant)` from its entry in
+    /// `sizes`, with store misses assigned to the first request of each
+    /// key in `trace` order.
+    pub(crate) fn with_sizes(
+        sizes: HashMap<(u32, u32), Resolved>,
+        wire: WireFormat,
+        verify: VerifyPolicy,
+        trace: &[SimRequest],
+    ) -> ModelBackend {
         let mut seen = HashSet::new();
-        let mut miss_ids = HashSet::new();
-        for r in trace {
-            if seen.insert((r.region, r.variant)) {
-                miss_ids.insert(r.id);
-            }
-        }
+        let miss_ids = (trace.iter())
+            .filter(|r| seen.insert((r.region, r.variant)))
+            .map(|r| r.id)
+            .collect();
         ModelBackend {
-            regions: spec.regions,
-            variants: spec.variants,
-            sizes: model_sizes(spec),
+            regions: sizes.keys().map(|&(r, _)| r + 1).max().unwrap_or(0),
+            sizes,
             miss_ids,
-            wire: spec.wire,
-            verify: spec.verify,
+            wire,
+            verify,
         }
     }
 
@@ -239,14 +249,30 @@ impl ModelBackend {
     pub fn boards(spec: &FleetSimSpec) -> Vec<ModelBoard> {
         (0..spec.boards)
             .map(|i| ModelBoard {
-                fault: (spec.fault_rate > 0.0).then(|| {
-                    FaultInjector::new(
-                        spec.fault_rate,
-                        spec.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64),
-                    )
-                }),
+                fault: FaultInjector::for_board(spec.fault_rate, spec.seed, i),
             })
             .collect()
+    }
+}
+
+/// A modelled board's answers to the verification ladder: every read
+/// finds the attempt's fate, so a corrupt region fails its digests.
+struct ModelVerify<'a> {
+    fate: Probe,
+    res: &'a Resolved,
+}
+
+impl Verifier for ModelVerify<'_> {
+    fn digest(&mut self) -> Option<Probe> {
+        Some(self.fate)
+    }
+
+    fn sample(&mut self) -> Probe {
+        self.fate
+    }
+
+    fn raw(&mut self) -> (Probe, u64) {
+        (self.fate, self.res.bytes_verify)
     }
 }
 
@@ -258,15 +284,14 @@ impl Backend for ModelBackend {
         if req.region >= self.regions {
             return Err(format!("bad request: region {} out of range", req.region));
         }
-        if req.variant >= self.variants {
+        let Some(&res) = self.sizes.get(&(req.region, req.variant)) else {
             return Err(format!(
                 "bad request: variant {} out of range for region {}",
                 req.variant, req.region
             ));
-        }
-        let mut res = self.sizes[&(req.region, req.variant)];
-        res.store_hit = !self.miss_ids.contains(&req.id);
-        Ok(((), res))
+        };
+        let store_hit = !self.miss_ids.contains(&req.id);
+        Ok(((), Resolved { store_hit, ..res }))
     }
 
     fn download(
@@ -283,7 +308,6 @@ impl Backend for ModelBackend {
             Flavor::Wholesale => res.bytes_wholesale,
             Flavor::Full => res.bytes_full,
         };
-        let dl = download_ns(bytes as usize);
         // Compressed partials stream through the device-side decoder;
         // model its buffer high-water mark as the decoded footprint in
         // words, capped at one section's worth (the real decoder never
@@ -299,62 +323,16 @@ impl Backend for ModelBackend {
             None => FaultKind::Clean,
         };
         if draw == FaultKind::Drop {
-            return DownloadResult {
-                status: DownloadStatus::PortFault("transfer fault (dropped frames)".into()),
-                bytes,
-                download_ns: dl,
-                verify_ns: 0,
-                readback_bytes: 0,
-                peak_buffer_words: peak,
-                verify_flavor: VerifyFlavor::None,
-            };
+            let error = "transfer fault (dropped frames)".to_string();
+            return DownloadResult::port_fault(error, bytes, peak);
         }
-        // Price the verification tier the policy actually runs. On a
-        // corrupt fate the digest tiers always escalate to the raw
-        // compare (digest bytes *plus* the raw reply), so the final
-        // status is never decided by digests alone — the model pays for
-        // the same safety rule the real backend enforces. One modelled
-        // sampled frame costs its raw frame reply (~192 bytes).
-        let corrupt = draw == FaultKind::Corrupt;
-        let sample = |k: u32| (k as u64) * 192;
-        let (verify_bytes, verify_flavor) = match self.verify {
-            VerifyPolicy::Full => (res.bytes_verify, VerifyFlavor::Raw),
-            // Zero spot-checks is a plain digest verify, labelled as the
-            // real backend labels it.
-            VerifyPolicy::Digest | VerifyPolicy::Sampled { k: 0 } if corrupt => (
-                res.bytes_verify_digest + res.bytes_verify,
-                VerifyFlavor::Escalated,
-            ),
-            VerifyPolicy::Digest | VerifyPolicy::Sampled { k: 0 } => {
-                (res.bytes_verify_digest, VerifyFlavor::Digest)
-            }
-            VerifyPolicy::Sampled { k } if corrupt => (
-                res.bytes_verify_digest + sample(k) + res.bytes_verify,
-                VerifyFlavor::Escalated,
-            ),
-            VerifyPolicy::Sampled { k } => {
-                (res.bytes_verify_digest + sample(k), VerifyFlavor::Sampled)
-            }
-            VerifyPolicy::Adaptive if attempt > 1 => (res.bytes_verify, VerifyFlavor::Raw),
-            VerifyPolicy::Adaptive if corrupt => (
-                res.bytes_verify_digest + res.bytes_verify,
-                VerifyFlavor::Escalated,
-            ),
-            VerifyPolicy::Adaptive => (res.bytes_verify_digest, VerifyFlavor::Digest),
+        let fate = match draw {
+            FaultKind::Corrupt => Probe::Mismatch,
+            _ => Probe::Match,
         };
-        DownloadResult {
-            status: if corrupt {
-                DownloadStatus::VerifyMismatch
-            } else {
-                DownloadStatus::Verified
-            },
-            bytes,
-            download_ns: dl,
-            verify_ns: download_ns(verify_bytes as usize),
-            readback_bytes: verify_bytes,
-            peak_buffer_words: peak,
-            verify_flavor,
-        }
+        let tier = self.verify.tier(attempt);
+        let verdict = sched::verify(tier, res, &mut ModelVerify { fate, res });
+        DownloadResult::checked(bytes, peak, verdict)
     }
 
     fn finish(&self, _board: &mut ModelBoard, _region: u32, _payload: u32) -> Vec<(String, bool)> {
@@ -616,6 +594,7 @@ pub fn simulate_trace(spec: &FleetSimSpec, trace: Vec<SimRequest>) -> SimReport 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::{DownloadStatus, OutcomeKind, VerifyFlavor};
 
     #[test]
     fn model_sizes_are_deterministic_and_shaped() {
@@ -722,6 +701,60 @@ mod tests {
             (digest.verify_digest, digest.verify_escalations)
         );
         assert_eq!(zero.readback_bytes, digest.readback_bytes);
+    }
+
+    #[test]
+    fn sampled_escalations_pay_digest_and_raw_only() {
+        // The real backend escalates on the digest mismatch before it
+        // reads a sampled frame, so a corrupt fate never pays samples.
+        let spec = FleetSimSpec {
+            verify: VerifyPolicy::Sampled { k: 2 },
+            ..FleetSimSpec::default()
+        };
+        let backend = ModelBackend::new(&spec, &[]);
+        let res = model_sizes(&spec)[&(0, 0)];
+        // At rate 1.0 every fate is a drop or a corruption.
+        let mut board = ModelBoard {
+            fault: Some(FaultInjector::new(1.0, 5)),
+        };
+        let r = (0..64)
+            .map(|_| backend.download(&mut board, 0, &(), Flavor::Wholesale, 1, &res))
+            .find(|r| !matches!(r.status, DownloadStatus::PortFault(_)))
+            .expect("some fate corrupts");
+        assert_eq!(r.status, DownloadStatus::VerifyMismatch);
+        assert_eq!(r.verify_flavor, VerifyFlavor::Escalated);
+        assert_eq!(r.readback_bytes, res.bytes_verify_digest + res.bytes_verify);
+    }
+
+    #[test]
+    fn refused_requests_report_their_store_hits() {
+        // An admission slam: one board, a short queue, no coalescing.
+        let spec = FleetSimSpec {
+            boards: 1,
+            shards: 1,
+            requests: 64,
+            queue_cap: 4,
+            shed_watermark: 2,
+            coalesce: false,
+            zipf_s: 0.0,
+            mean_gap_ns: 1,
+            seed: 42,
+            ..FleetSimSpec::default()
+        };
+        let r = simulate(&spec);
+        assert!(r.rejected + r.shed > 32, "refused {}", r.rejected + r.shed);
+        let hits = r.outcomes.iter().filter(|o| o.store_hit).count() as u64;
+        let counted = r.snapshot.counter_total("fleet_store_hits_total");
+        assert_eq!(Some(hits), counted);
+        let refused: Vec<&Outcome> = (r.outcomes.iter())
+            .filter(|o| matches!(o.kind, OutcomeKind::Rejected | OutcomeKind::Shed))
+            .collect();
+        assert_eq!(refused.len() as u64, r.rejected + r.shed);
+        assert!(refused.iter().any(|o| o.store_hit));
+        assert!(
+            refused.iter().all(|o| o.generation != 0),
+            "refusals keep the generation"
+        );
     }
 
     #[test]

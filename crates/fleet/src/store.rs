@@ -73,6 +73,9 @@ pub struct StoredPartial {
     /// Compressed wire container of the incremental partial,
     /// delta-coded against the base epoch's frame content.
     pub wire_incremental: wire::Encoded,
+    /// Length of `expected` as a `JWR1` reply container: what a clean
+    /// raw verification reply costs on the compressed wire.
+    pub wire_reply_bytes: usize,
 }
 
 type Slot = Arc<OnceLock<Result<Arc<StoredPartial>, String>>>;
@@ -172,6 +175,7 @@ mod tests {
             frames_incremental: 1,
             wire_wholesale: enc(vec![1]),
             wire_incremental: enc(vec![2]),
+            wire_reply_bytes: wire::encode_reply(&[]).bytes.len(),
         }
     }
 

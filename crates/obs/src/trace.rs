@@ -520,10 +520,7 @@ pub fn parse_jsonl_strict(text: &str) -> Result<Vec<ParsedSpan>, TraceParseError
 fn parse_span_line(line: &str) -> Result<ParsedSpan, String> {
     let mut r = JsonReader { text: line, at: 0 };
     let pairs = r.object(1)?;
-    r.ws();
-    if r.at != line.len() {
-        return Err(format!("trailing data at byte {}", r.at));
-    }
+    r.end()?;
     let get = |key: &str| pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v);
     let num = |key: &str| match get(key) {
         Some(JsonValue::Num(n)) => Ok(*n),
@@ -546,7 +543,7 @@ fn parse_span_line(line: &str) -> Result<ParsedSpan, String> {
             .map(|(k, v)| match v {
                 JsonValue::Num(n) => Ok((k.clone(), n.to_string())),
                 JsonValue::Str(s) => Ok((k.clone(), s.clone())),
-                JsonValue::Obj(_) => Err(format!("field {k} is an object")),
+                _ => Err(format!("field {k} is not a number or string")),
             })
             .collect::<Result<_, _>>()?,
         Some(_) => return Err("fields is not an object".into()),
@@ -564,18 +561,23 @@ fn parse_span_line(line: &str) -> Result<ParsedSpan, String> {
     })
 }
 
-/// A value on a span line: the writer emits integers, strings and one
-/// object (`fields`) of those.
+/// A JSON value. A span line's writer emits integers, strings and one
+/// object (`fields`) of those; arrays and literals only ever need
+/// validating.
 enum JsonValue<'a> {
-    /// An integer's literal text.
+    /// A number's literal text.
     Num(&'a str),
     /// A string, unescaped.
     Str(String),
-    /// An object's pairs, in line order.
+    /// An object's pairs, in text order.
     Obj(Vec<(String, JsonValue<'a>)>),
+    /// An array (items checked, not kept).
+    Arr,
+    /// `true`, `false` or `null`.
+    Lit,
 }
 
-/// A cursor over one span line.
+/// A cursor over JSON text: one span line, or a document to validate.
 struct JsonReader<'a> {
     text: &'a str,
     at: usize,
@@ -601,40 +603,87 @@ impl<'a> JsonReader<'a> {
         Ok(())
     }
 
-    /// An object whose values may nest `depth` more objects deep.
+    /// Only whitespace may follow the value just read.
+    fn end(&mut self) -> Result<(), String> {
+        self.ws();
+        if self.at != self.text.len() {
+            return Err(format!("trailing data at byte {}", self.at));
+        }
+        Ok(())
+    }
+
+    /// One value whose containers may nest `depth` more levels deep.
+    fn value(&mut self, depth: usize) -> Result<JsonValue<'a>, String> {
+        self.ws();
+        Ok(match self.peek() {
+            Some(b'"') => JsonValue::Str(self.string()?),
+            Some(b'{' | b'[') if depth == 0 => {
+                return Err(format!("nested too deep at byte {}", self.at));
+            }
+            Some(b'{') => JsonValue::Obj(self.object(depth - 1)?),
+            Some(b'[') => {
+                self.at += 1;
+                self.items(b']', |r| r.value(depth - 1).map(drop))?;
+                JsonValue::Arr
+            }
+            Some(b't' | b'f' | b'n') => {
+                let rest = &self.text[self.at..];
+                let lit = (["true", "false", "null"].iter())
+                    .find(|l| rest.starts_with(*l))
+                    .ok_or_else(|| format!("bad literal at byte {}", self.at))?;
+                self.at += lit.len();
+                JsonValue::Lit
+            }
+            _ => JsonValue::Num(self.number()?),
+        })
+    }
+
+    /// An object whose values may nest `depth` more levels deep.
     fn object(&mut self, depth: usize) -> Result<Vec<(String, JsonValue<'a>)>, String> {
         self.expect(b'{')?;
         let mut pairs = Vec::new();
+        self.items(b'}', |r| {
+            let key = r.string()?;
+            r.expect(b':')?;
+            pairs.push((key, r.value(depth)?));
+            Ok(())
+        })?;
+        Ok(pairs)
+    }
+
+    /// A container's comma-separated items, each read by `item`, up to
+    /// its `close` byte (the opening one already read).
+    fn items(
+        &mut self,
+        close: u8,
+        mut item: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
         self.ws();
-        if self.peek() == Some(b'}') {
+        if self.peek() == Some(close) {
             self.at += 1;
-            return Ok(pairs);
+            return Ok(());
         }
         loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            self.ws();
-            let value = match self.peek() {
-                Some(b'"') => JsonValue::Str(self.string()?),
-                Some(b'{') if depth > 0 => JsonValue::Obj(self.object(depth - 1)?),
-                _ => JsonValue::Num(self.number()?),
-            };
-            pairs.push((key, value));
+            item(self)?;
             self.ws();
             match self.peek() {
                 Some(b',') => self.at += 1,
-                Some(b'}') => {
+                Some(c) if c == close => {
                     self.at += 1;
-                    return Ok(pairs);
+                    return Ok(());
                 }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.at)),
+                _ => {
+                    let close = close as char;
+                    return Err(format!("expected ',' or '{close}' at byte {}", self.at));
+                }
             }
         }
     }
 
     fn number(&mut self) -> Result<&'a str, String> {
         let rest = &self.text[self.at..];
-        let len = (rest.find(|c: char| !(c.is_ascii_digit() || c == '-'))).unwrap_or(rest.len());
+        let len = (rest.find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c))))
+            .unwrap_or(rest.len());
         if len == 0 {
             return Err(format!("expected a number or string at byte {}", self.at));
         }
@@ -1118,121 +1167,18 @@ fn format_pct_ppm(ppm: u32) -> String {
     }
 }
 
-// ---------------------------------------------------------------------------
-// A small JSON validator: enough to assert exported Chrome traces are
-// well-formed without pulling in a JSON dependency.
-// ---------------------------------------------------------------------------
+/// Deepest container nesting [`validate_json`] accepts: far past any
+/// document this crate writes, and shallow enough for any thread stack.
+const MAX_JSON_DEPTH: usize = 64;
 
 /// Validate that `s` is one well-formed JSON value (with optional
-/// trailing whitespace). Used by the trace-smoke tests on the Chrome
-/// exporter's output.
+/// trailing whitespace), nested at most 64 containers deep — enough to
+/// assert exported Chrome traces are well-formed without pulling in a
+/// JSON dependency.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    parse_value(b, &mut i)?;
-    skip_ws(b, &mut i);
-    if i != b.len() {
-        return Err(format!("trailing data at byte {i}"));
-    }
-    Ok(())
-}
-
-fn skip_ws(b: &[u8], i: &mut usize) {
-    while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-        *i += 1;
-    }
-}
-
-fn parse_value(b: &[u8], i: &mut usize) -> Result<(), String> {
-    skip_ws(b, i);
-    match b.get(*i) {
-        Some(b'{') => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b'}') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                skip_ws(b, i);
-                parse_string(b, i)?;
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {i}"));
-                }
-                *i += 1;
-                parse_value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b'}') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {i}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *i += 1;
-            skip_ws(b, i);
-            if b.get(*i) == Some(&b']') {
-                *i += 1;
-                return Ok(());
-            }
-            loop {
-                parse_value(b, i)?;
-                skip_ws(b, i);
-                match b.get(*i) {
-                    Some(b',') => *i += 1,
-                    Some(b']') => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {i}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(b, i),
-        Some(b't') => parse_lit(b, i, b"true"),
-        Some(b'f') => parse_lit(b, i, b"false"),
-        Some(b'n') => parse_lit(b, i, b"null"),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => {
-            *i += 1;
-            while *i < b.len() && matches!(b[*i], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-                *i += 1;
-            }
-            Ok(())
-        }
-        _ => Err(format!("unexpected byte at {i}")),
-    }
-}
-
-fn parse_string(b: &[u8], i: &mut usize) -> Result<(), String> {
-    if b.get(*i) != Some(&b'"') {
-        return Err(format!("expected string at byte {i}"));
-    }
-    *i += 1;
-    while let Some(&c) = b.get(*i) {
-        match c {
-            b'"' => {
-                *i += 1;
-                return Ok(());
-            }
-            b'\\' => *i += 2,
-            _ => *i += 1,
-        }
-    }
-    Err("unterminated string".to_string())
-}
-
-fn parse_lit(b: &[u8], i: &mut usize, lit: &[u8]) -> Result<(), String> {
-    if b.len() >= *i + lit.len() && &b[*i..*i + lit.len()] == lit {
-        *i += lit.len();
-        Ok(())
-    } else {
-        Err(format!("bad literal at byte {i}"))
-    }
+    let mut r = JsonReader { text: s, at: 0 };
+    r.value(MAX_JSON_DEPTH)?;
+    r.end()
 }
 
 #[cfg(all(test, not(feature = "obs-off")))]
@@ -1521,6 +1467,18 @@ mod tests {
         assert!(validate_json("{\"a\":}").is_err());
         assert!(validate_json("[1,2").is_err());
         assert!(validate_json("{} extra").is_err());
+    }
+
+    #[test]
+    fn json_validator_bounds_nesting() {
+        // A million open brackets once overflowed the recursive
+        // validator's stack; the depth bound turns it into an error.
+        assert!(validate_json(&"[".repeat(1_000_000)).is_err());
+        let nest = |n| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        validate_json(&nest(MAX_JSON_DEPTH)).unwrap();
+        assert!(validate_json(&nest(MAX_JSON_DEPTH + 1)).is_err());
+        validate_json(r#"{"a":[true,false,null,"é"],"b":{}}"#).unwrap();
+        assert!(validate_json("[tru]").is_err());
     }
 }
 

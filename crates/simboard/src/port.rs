@@ -49,6 +49,14 @@ impl FaultInjector {
         }
     }
 
+    /// The injector of board `index` in a fleet seeded with `seed`, or
+    /// `None` at rate zero: every board draws its own reproducible fate
+    /// sequence.
+    pub fn for_board(rate: f64, seed: u64, index: usize) -> Option<Self> {
+        let board_seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (index as u64);
+        (rate > 0.0).then(|| FaultInjector::new(rate, board_seed))
+    }
+
     /// Configured fault probability per load.
     pub fn rate(&self) -> f64 {
         self.rate
@@ -131,30 +139,39 @@ impl SelectMap {
     /// Push a bitstream through the port. A load that fails leaves the
     /// port unsynchronised, ready for the next stream.
     pub fn load(&mut self, bs: &Bitstream) -> Result<(), ConfigError> {
-        self.bytes_loaded += bs.byte_len() as u64;
+        self.transfer(bs.byte_len(), |interp| interp.feed(bs))
+    }
+
+    /// One download of `len` bytes that `apply` feeds to the device:
+    /// the port's counters and `download` span, then the injector's
+    /// fate — applied cleanly, dropped (nothing applied), or applied
+    /// with one bit flipped.
+    fn transfer<T>(
+        &mut self,
+        len: usize,
+        apply: impl FnOnce(&mut Interpreter) -> Result<T, ConfigError>,
+    ) -> Result<T, ConfigError> {
+        self.bytes_loaded += len as u64;
         self.downloads += 1;
         obs::counter!("simboard_downloads_total").inc();
-        obs::counter!("simboard_download_bytes_total").add(bs.byte_len() as u64);
+        obs::counter!("simboard_download_bytes_total").add(len as u64);
         // The port's time is simulated (byte-per-CCLK), so the download
         // "span" carries the model's duration, not wall-clock.
-        obs::record_duration("download", download_time(bs.byte_len()), &[]);
+        obs::record_duration("download", download_time(len), &[]);
         let draw = match &mut self.fault {
             Some(f) => f.draw(),
             None => FaultKind::Clean,
         };
-        match draw {
-            FaultKind::Clean => {}
+        let loaded = match draw {
+            FaultKind::Clean => apply(&mut self.interp),
             FaultKind::Drop => {
                 obs::counter!("simboard_faults_injected_total", "kind" => "drop").inc();
+                Err(ConfigError::TransferFault)
             }
             FaultKind::Corrupt => {
                 obs::counter!("simboard_faults_injected_total", "kind" => "corrupt").inc();
+                self.corrupt(apply)
             }
-        }
-        let loaded = match draw {
-            FaultKind::Clean => self.interp.feed(bs),
-            FaultKind::Drop => Err(ConfigError::TransferFault),
-            FaultKind::Corrupt => self.corrupt(|interp| interp.feed(bs)),
         };
         self.abort_on_error(loaded)
     }
@@ -213,35 +230,14 @@ impl SelectMap {
     /// callers can surface `peak_buffer_words` (the device-side carry
     /// buffer high-water mark) without re-decoding the container.
     pub fn load_wire(&mut self, container: &[u8]) -> Result<wire::ApplyStats, ConfigError> {
-        self.bytes_loaded += container.len() as u64;
-        self.downloads += 1;
-        obs::counter!("simboard_downloads_total").inc();
-        obs::counter!("simboard_download_bytes_total").add(container.len() as u64);
-        obs::record_duration("download", download_time(container.len()), &[]);
-        let draw = match &mut self.fault {
-            Some(f) => f.draw(),
-            None => FaultKind::Clean,
-        };
-        let apply = |interp: &mut Interpreter| {
+        self.transfer(container.len(), |interp| {
             wire::apply_streaming(interp, container).map_err(|e| match e {
                 wire::ApplyError::Config(c) => c,
                 wire::ApplyError::Wire(w) => {
                     ConfigError::InvalidConfiguration(format!("wire: {w}"))
                 }
             })
-        };
-        let loaded = match draw {
-            FaultKind::Clean => apply(&mut self.interp),
-            FaultKind::Drop => {
-                obs::counter!("simboard_faults_injected_total", "kind" => "drop").inc();
-                Err(ConfigError::TransferFault)
-            }
-            FaultKind::Corrupt => {
-                obs::counter!("simboard_faults_injected_total", "kind" => "corrupt").inc();
-                self.corrupt(apply)
-            }
-        };
-        self.abort_on_error(loaded)
+        })
     }
 
     /// Cumulative bytes pushed through the port.
