@@ -3,7 +3,7 @@
 //! SelectMAP time is simulated anyway ([`simboard::port`] computes it
 //! from byte counts, it never sleeps), so the serving layer does not
 //! need wall time at all: boards advance by *virtual nanoseconds* and a
-//! min-heap of timestamped events replaces the thread-per-board model.
+//! min-queue of timestamped events replaces the thread-per-board model.
 //! Ten thousand boards and millions of requests then run in seconds of
 //! wall clock — and, because event order is a pure function of the
 //! trace, every schedule is deterministic and replayable from a seed.
@@ -14,7 +14,7 @@
 //! scheduled.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::time::Duration;
 
 /// A point in virtual time, in nanoseconds since simulation start.
@@ -87,8 +87,16 @@ impl<K> Ord for Event<K> {
 /// Each shard of the scheduler owns one; `seq` is assigned at push so
 /// same-instant events pop in scheduling order regardless of heap
 /// internals.
+///
+/// An event pushed at or after the last one in the FIFO `run` joins
+/// that run; any other goes onto the heap. Sequence numbers only grow,
+/// so the run stays sorted by `(at, seq)`, and every pop takes the
+/// smaller of the run's front and the heap's top: exactly the order a
+/// heap alone gives. A time-ordered batch of arrivals thus never enters
+/// the heap, which only holds the events scheduled behind the run.
 #[derive(Debug)]
 pub struct EventQueue<K> {
+    run: VecDeque<Event<K>>,
     heap: BinaryHeap<Event<K>>,
     next_seq: u64,
 }
@@ -96,6 +104,7 @@ pub struct EventQueue<K> {
 impl<K> Default for EventQueue<K> {
     fn default() -> EventQueue<K> {
         EventQueue {
+            run: VecDeque::new(),
             heap: BinaryHeap::new(),
             next_seq: 0,
         }
@@ -112,12 +121,36 @@ impl<K> EventQueue<K> {
     pub fn push(&mut self, at: Vt, kind: K) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Event { at, seq, kind });
+        let e = Event { at, seq, kind };
+        if self.run.back().is_none_or(|last| at >= last.at) {
+            self.run.push_back(e);
+        } else {
+            self.heap.push(e);
+        }
+    }
+
+    /// Where the earliest pending event sits (`true`: the run's front,
+    /// `false`: the heap's top) and when it fires. `Event`'s order is
+    /// reversed, so the earlier of two events compares greater.
+    fn earliest(&self) -> Option<(bool, Vt)> {
+        match (self.run.front(), self.heap.peek()) {
+            (Some(r), Some(h)) if h > r => Some((false, h.at)),
+            (Some(r), _) => Some((true, r.at)),
+            (None, h) => h.map(|h| (false, h.at)),
+        }
+    }
+
+    fn take(&mut self, from_run: bool) -> Option<Event<K>> {
+        if from_run {
+            self.run.pop_front()
+        } else {
+            self.heap.pop()
+        }
     }
 
     /// The instant of the earliest pending event.
     pub fn peek_at(&self) -> Option<Vt> {
-        self.heap.peek().map(|e| e.at)
+        self.earliest().map(|(_, at)| at)
     }
 
     /// Pop the earliest event if it fires strictly before `limit`.
@@ -126,8 +159,9 @@ impl<K> EventQueue<K> {
     /// deterministic: every shard processes exactly the events in
     /// `[now, limit)` no matter which worker runs it.
     pub fn pop_if_before(&mut self, limit: Vt) -> Option<Event<K>> {
-        if self.heap.peek().is_some_and(|e| e.at < limit) {
-            self.heap.pop()
+        let (from_run, at) = self.earliest()?;
+        if at < limit {
+            self.take(from_run)
         } else {
             None
         }
@@ -135,23 +169,109 @@ impl<K> EventQueue<K> {
 
     /// Pop the earliest event unconditionally.
     pub fn pop(&mut self) -> Option<Event<K>> {
-        self.heap.pop()
+        let (from_run, _) = self.earliest()?;
+        self.take(from_run)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.run.len() + self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.run.is_empty() && self.heap.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The heap-only queue the run-plus-heap queue must match step for
+    /// step.
+    #[derive(Default)]
+    struct HeapQueue {
+        heap: BinaryHeap<Event<u32>>,
+        next_seq: u64,
+    }
+
+    impl HeapQueue {
+        fn push(&mut self, at: Vt, kind: u32) {
+            self.heap.push(Event {
+                at,
+                seq: self.next_seq,
+                kind,
+            });
+            self.next_seq += 1;
+        }
+    }
+
+    fn triple(e: Option<Event<u32>>) -> Option<(Vt, u64, u32)> {
+        e.map(|e| (e.at, e.seq, e.kind))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(500))]
+
+        /// Random interleavings of every operation, with pushes that
+        /// mostly move forward, sometimes step back and often repeat an
+        /// instant: each step answers exactly as the heap-only queue.
+        #[test]
+        fn run_plus_heap_matches_a_heap_only_queue(
+            ops in proptest::collection::vec((0u8..5, 0u64..6), 0..300),
+        ) {
+            let (mut q, mut reference) = (EventQueue::new(), HeapQueue::default());
+            let mut cursor = 0u64;
+            for (i, (op, step)) in ops.into_iter().enumerate() {
+                match op {
+                    // Pushes: a cursor that drifts forward by up to 3 ns
+                    // and back by up to 2 ns per push.
+                    0 | 1 => {
+                        cursor = (cursor + step).saturating_sub(2);
+                        q.push(Vt::from_ns(cursor), i as u32);
+                        reference.push(Vt::from_ns(cursor), i as u32);
+                    }
+                    2 => prop_assert_eq!(triple(q.pop()), triple(reference.heap.pop())),
+                    3 => {
+                        // A limit around the cursor: at, before or
+                        // past the latest instants.
+                        let limit = Vt::from_ns((cursor + step).saturating_sub(2));
+                        let want = if reference.heap.peek().is_some_and(|e| e.at < limit) {
+                            reference.heap.pop()
+                        } else {
+                            None
+                        };
+                        prop_assert_eq!(triple(q.pop_if_before(limit)), triple(want));
+                    }
+                    _ => prop_assert_eq!(q.peek_at(), reference.heap.peek().map(|e| e.at)),
+                }
+                prop_assert_eq!(q.len(), reference.heap.len());
+                prop_assert_eq!(q.is_empty(), reference.heap.is_empty());
+            }
+            while let Some(want) = reference.heap.pop() {
+                prop_assert_eq!(triple(q.pop()), triple(Some(want)));
+            }
+            prop_assert!(q.pop().is_none());
+        }
+    }
+
+    #[test]
+    fn time_ordered_pushes_never_enter_the_heap() {
+        let mut q = EventQueue::new();
+        for (i, at) in [0u64, 5, 5, 5, 9, 12, 12, 40].into_iter().enumerate() {
+            q.push(Vt::from_ns(at), i);
+        }
+        assert!(q.heap.is_empty());
+        assert_eq!(q.run.len(), 8);
+        // An event behind the run's back goes to the heap and still pops
+        // in time order.
+        q.push(Vt::from_ns(7), 8);
+        assert_eq!(q.heap.len(), 1);
+        let order: Vec<usize> = std::iter::from_fn(|| q.pop().map(|e| e.kind)).collect();
+        assert_eq!(order, [0, 1, 2, 3, 8, 4, 5, 6, 7]);
+    }
 
     #[test]
     fn vt_arithmetic() {

@@ -9,7 +9,7 @@
 //! different retry interleavings, different store-hit winners. This
 //! module replaces it with discrete-event simulation. Boards are
 //! partitioned round-robin into **shards**; each shard owns an event
-//! heap ([`crate::clock::EventQueue`]), its boards' residency state,
+//! queue ([`crate::clock::EventQueue`]), its boards' residency state,
 //! three priority-class run queues, and a coalescing index. A shard is
 //! strictly sequential — events pop in `(virtual time, insertion seq)`
 //! order — so everything a shard does is a pure function of its inputs.
@@ -54,7 +54,7 @@ use crate::FleetError;
 use obs::trace::{json_string, FieldValue, ShardTracer, Trace, TraceSpan, TRACE_RING_CAPACITY};
 use reloc::{SlotMap, SlotMove};
 use simboard::port::download_ns;
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
 /// Which bitstream the fleet downloads per swap.
@@ -656,6 +656,8 @@ enum Ev {
 
 struct Queued<B: Backend> {
     req: SimRequest,
+    /// The owning shard's dense id of `(req.region, req.variant)`.
+    key: u32,
     art: B::Artifact,
     res: Resolved,
 }
@@ -684,6 +686,9 @@ struct Migration {
 struct BoardCore<B: Backend> {
     state: B::Board,
     resident: Vec<Resident>,
+    /// Per region, the shard's key id of the verified variant
+    /// `resident` holds there; meaningless for other residencies.
+    keys: Vec<u32>,
     job: Option<Job<B>>,
     /// In-flight migration; mutually exclusive with `job` (a migrating
     /// board is out of the idle indexes, so it cannot be dispatched).
@@ -711,10 +716,22 @@ struct Shard<B: Backend> {
     queues: [VecDeque<Queued<B>>; 3],
     queued: usize,
     queue_high: usize,
-    inflight: HashMap<(u32, u32), u32>,
-    idle: BTreeSet<u32>,
-    idle_exact: HashMap<(u32, u32), BTreeSet<u32>>,
-    idle_base: HashMap<u32, BTreeSet<u32>>,
+    /// Dense id of every `(region, variant)` key this shard has seen,
+    /// assigned on a request's arrival (or steal) and on residency at
+    /// set-up: the shard's one hash lookup per request. The indexes
+    /// below are vectors over these ids, so they grow with the keys
+    /// seen, never with the key space.
+    key_ids: HashMap<(u32, u32), u32>,
+    /// Per key id: the board downloading that key, or [`NO_BOARD`].
+    inflight: Vec<u32>,
+    idle: IdleSet,
+    /// Per key id: idle boards holding that variant verified.
+    idle_exact: Vec<IdleSet>,
+    /// Per region: idle partial-mode boards whose region holds base
+    /// content.
+    idle_base: Vec<IdleSet>,
+    /// Emptied rider lists of finished jobs, reused by the next ones.
+    spare_riders: Vec<Vec<Queued<B>>>,
     outcomes: Vec<Outcome>,
     migrations: u64,
     migration_retries: u64,
@@ -731,6 +748,46 @@ struct Shard<B: Backend> {
     peak_buf: u64,
     /// Migrations started on this shard (trace-identity counter).
     migr_seq: u64,
+}
+
+/// The empty slot of [`Shard::inflight`].
+const NO_BOARD: u32 = u32::MAX;
+
+/// A shard's set of local board ids, kept sorted so the lowest id comes
+/// first. A set holds the few boards of one shard that are idle under
+/// one key, so a sorted vector beats a tree: no node allocation, and
+/// its capacity survives the set emptying.
+#[derive(Default)]
+struct IdleSet(Vec<u32>);
+
+impl IdleSet {
+    fn insert(&mut self, b: u32) {
+        if let Err(i) = self.0.binary_search(&b) {
+            self.0.insert(i, b);
+        }
+    }
+
+    fn remove(&mut self, b: u32) {
+        if let Ok(i) = self.0.binary_search(&b) {
+            self.0.remove(i);
+        }
+    }
+
+    fn first(&self) -> Option<u32> {
+        self.0.first().copied()
+    }
+
+    fn contains(&self, b: u32) -> bool {
+        self.0.binary_search(&b).is_ok()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
 }
 
 /// Bounded queue scan depth for the resident-exact fast path — keeps
@@ -972,8 +1029,20 @@ impl<B: Backend> Shard<B> {
     }
 
     fn index_remove(&mut self, b: u32) {
-        self.idle.remove(&b);
+        self.idle.remove(b);
         self.file_idle(b, false);
+    }
+
+    /// The dense id of `(region, variant)` on this shard, assigned on
+    /// first sight.
+    fn intern(&mut self, region: u32, variant: u32) -> u32 {
+        let next = self.inflight.len() as u32;
+        let key = *self.key_ids.entry((region, variant)).or_insert(next);
+        if key == next {
+            self.inflight.push(NO_BOARD);
+            self.idle_exact.push(IdleSet::default());
+        }
+        key
     }
 
     /// File board `b` under (`file`) or take it out of every idle-index
@@ -983,29 +1052,27 @@ impl<B: Backend> Shard<B> {
     /// board. Residency never changes while a board is idle, so removal
     /// derives the same keys its filing did.
     fn file_idle(&mut self, b: u32, file: bool) {
-        let set = |s: &mut BTreeSet<u32>| {
+        let set = |s: &mut IdleSet| {
             if file {
                 s.insert(b);
             } else {
-                s.remove(&b);
+                s.remove(b);
             }
         };
-        let resident = &self.boards[b as usize].resident;
+        let core = &self.boards[b as usize];
         match self.cfg.mode {
             ServeMode::Partial => {
-                for (r, res) in resident.iter().enumerate() {
+                for (r, res) in core.resident.iter().enumerate() {
                     match *res {
-                        Resident::Variant(v) => {
-                            set(self.idle_exact.entry((r as u32, v)).or_default())
-                        }
-                        Resident::Base => set(self.idle_base.entry(r as u32).or_default()),
+                        Resident::Variant(_) => set(&mut self.idle_exact[core.keys[r] as usize]),
+                        Resident::Base => set(&mut self.idle_base[r]),
                         Resident::Unknown => {}
                     }
                 }
             }
             ServeMode::FullSwap => {
-                if let Some(key) = fullswap_key(resident) {
-                    set(self.idle_exact.entry(key).or_default());
+                if let Some(r) = fullswap_region(&core.resident) {
+                    set(&mut self.idle_exact[core.keys[r] as usize]);
                 }
             }
         }
@@ -1016,11 +1083,11 @@ impl<B: Backend> Shard<B> {
     /// index among candidates for determinism.
     fn pick_idle(&self, region: u32) -> Option<u32> {
         if self.cfg.mode == ServeMode::Partial {
-            if let Some(&b) = self.idle_base.get(&region).and_then(|s| s.first()) {
+            if let Some(b) = self.idle_base.get(region as usize).and_then(IdleSet::first) {
                 return Some(b);
             }
         }
-        self.idle.first().copied()
+        self.idle.first()
     }
 
     fn run_until(&mut self, backend: &B, m: &FleetMetrics, end: Vt) {
@@ -1059,14 +1126,14 @@ impl<B: Backend> Shard<B> {
             req.variant,
             req.priority
         );
-        let q = Queued { req, art, res };
+        let key = self.intern(req.region, req.variant);
+        let q = Queued { req, key, art, res };
         self.admit(backend, m, q);
     }
 
     /// Route one resolved request: fast path → rider → dispatch → queue.
     fn admit(&mut self, backend: &B, m: &FleetMetrics, q: Queued<B>) {
-        let key = (q.req.region, q.req.variant);
-        if let Some(&b) = self.idle_exact.get(&key).and_then(|s| s.first()) {
+        if let Some(b) = self.idle_exact[q.key as usize].first() {
             self.serve_resident(backend, m, b, q);
             return;
         }
@@ -1101,10 +1168,10 @@ impl<B: Backend> Shard<B> {
     /// this shard, if coalescing is on and there is one; otherwise hand
     /// it back.
     fn ride(&mut self, m: &FleetMetrics, q: Queued<B>) -> Option<Queued<B>> {
-        let key = (q.req.region, q.req.variant);
-        let Some(&b) = self.cfg.coalesce.then(|| self.inflight.get(&key)).flatten() else {
+        let b = self.inflight[q.key as usize];
+        if !self.cfg.coalesce || b == NO_BOARD {
             return Some(q);
-        };
+        }
         m.coalesced.inc();
         let (req, g) = (q.req, self.global(b));
         shlog!(self, "rider id={} board={g}", req.id);
@@ -1133,26 +1200,27 @@ impl<B: Backend> Shard<B> {
     }
 
     fn start_job(&mut self, backend: &B, m: &FleetMetrics, b: u32, q: Queued<B>) {
-        let key = (q.req.region, q.req.variant);
+        let key = q.key;
         self.index_remove(b);
-        self.inflight.insert(key, b);
+        self.inflight[key as usize] = b;
         // Sweep queued same-key requests into the rider list: they ride
-        // this download instead of waiting for their own board.
-        let mut riders = Vec::new();
+        // this download instead of waiting for their own board. Each
+        // class rotates once through itself, so the kept requests end
+        // in their old order with no new queue built.
+        let mut riders = self.spare_riders.pop().unwrap_or_default();
         if self.cfg.coalesce {
-            for class in 0..3 {
-                let mut kept = VecDeque::with_capacity(self.queues[class].len());
-                while let Some(x) = self.queues[class].pop_front() {
-                    if (x.req.region, x.req.variant) == key {
-                        m.coalesced.inc();
-                        self.queued -= 1;
+            for queue in &mut self.queues {
+                for _ in 0..queue.len() {
+                    let x = queue.pop_front().expect("counted");
+                    if x.key == key {
                         riders.push(x);
                     } else {
-                        kept.push_back(x);
+                        queue.push_back(x);
                     }
                 }
-                self.queues[class] = kept;
             }
+            m.coalesced.add(riders.len() as u64);
+            self.queued -= riders.len();
         }
         let g = self.global(b);
         shlog!(
@@ -1299,6 +1367,7 @@ impl<B: Backend> Shard<B> {
         core.busy_ns += job.port_ns;
         if !failed {
             core.resident[region as usize] = Resident::Variant(variant);
+            core.keys[region as usize] = job.main.key;
             if self.cfg.mode == ServeMode::FullSwap {
                 for (r, res) in core.resident.iter_mut().enumerate() {
                     if r != region as usize {
@@ -1307,7 +1376,7 @@ impl<B: Backend> Shard<B> {
                 }
             }
         }
-        self.inflight.remove(&(region, variant));
+        self.inflight[job.main.key as usize] = NO_BOARD;
         let error = if failed {
             shlog!(self, "exhausted id={id} board={global} attempts={attempts}");
             flight!(self, b, "exhausted", id, attempts as u64);
@@ -1345,6 +1414,11 @@ impl<B: Backend> Shard<B> {
             }
             self.settle(m, o);
         }
+        let mut riders = job.riders;
+        if riders.capacity() > 0 {
+            riders.clear();
+            self.spare_riders.push(riders);
+        }
         self.index_insert(b);
         self.drain(backend, m);
     }
@@ -1376,8 +1450,7 @@ impl<B: Backend> Shard<B> {
     fn find_resident_match(&self) -> Option<(usize, usize, u32)> {
         for class in 0..3 {
             for (pos, q) in self.queues[class].iter().take(RESIDENT_SCAN).enumerate() {
-                let key = (q.req.region, q.req.variant);
-                if let Some(&b) = self.idle_exact.get(&key).and_then(|s| s.first()) {
+                if let Some(b) = self.idle_exact[q.key as usize].first() {
                     return Some((class, pos, b));
                 }
             }
@@ -1390,7 +1463,7 @@ impl<B: Backend> Shard<B> {
     /// move. Timers from superseded idle periods are simply stale: the
     /// board is busy (ignored here) and its next completion re-arms.
     fn on_defrag(&mut self, backend: &B, m: &FleetMetrics, b: u32) {
-        if self.migrate_off || !self.idle.contains(&b) {
+        if self.migrate_off || !self.idle.contains(b) {
             return;
         }
         let core = &self.boards[b as usize];
@@ -1553,18 +1626,33 @@ fn outcome(req: &SimRequest, kind: OutcomeKind, now: Vt, error: Option<String>) 
     }
 }
 
-/// The FullSwap resident-exact key: exactly one region holds a variant
-/// and every other region holds base content.
-fn fullswap_key(resident: &[Resident]) -> Option<(u32, u32)> {
-    let mut key = None;
+/// The region of the FullSwap resident-exact key: exactly one region
+/// holds a variant and every other region holds base content.
+fn fullswap_region(resident: &[Resident]) -> Option<usize> {
+    let mut region = None;
     for (r, res) in resident.iter().enumerate() {
         match *res {
             Resident::Base => {}
-            Resident::Variant(v) if key.is_none() => key = Some((r as u32, v)),
+            Resident::Variant(_) if region.is_none() => region = Some(r),
             _ => return None,
         }
     }
-    key
+    region
+}
+
+/// `outcomes` in `(id, payload)` order, ties in their given order.
+/// Outcomes are wide, so sorting them in place is bound on the element
+/// moves: sort their keys with their indexes, then move each outcome
+/// once, as [`Trace::merge`] does with spans.
+fn sorted_by_id(outcomes: Vec<Outcome>) -> Vec<Outcome> {
+    let mut keys: Vec<(u64, u32, u32)> = (outcomes.iter().zip(0..))
+        .map(|(o, i)| (o.id, o.payload, i))
+        .collect();
+    keys.sort_unstable();
+    let mut slots: Vec<Option<Outcome>> = outcomes.into_iter().map(Some).collect();
+    keys.iter()
+        .map(|k| slots[k.2 as usize].take().expect("each index once"))
+        .collect()
 }
 
 /// Sequential inter-window rebalance: shards with queued work donate
@@ -1597,7 +1685,7 @@ fn rebalance<B: Backend>(shards: &mut [Shard<B>], end: Vt, m: &FleetMetrics) -> 
         debug_assert_ne!(ri, di, "a donor shard cannot also be a receiver");
         // Steal from the back of the donor's lowest-priority class:
         // the least urgent work migrates.
-        let (q, class, id) = {
+        let (mut q, class, id) = {
             let d = &mut shards[di];
             let class = (0..3)
                 .rev()
@@ -1615,6 +1703,7 @@ fn rebalance<B: Backend>(shards: &mut [Shard<B>], end: Vt, m: &FleetMetrics) -> 
         };
         {
             let r = &mut shards[ri];
+            q.key = r.intern(q.req.region, q.req.variant);
             r.queues[class].push_back(q);
             r.queued += 1;
             r.queue_high = r.queue_high.max(r.queued);
@@ -1682,10 +1771,12 @@ pub fn run<B: Backend>(
             queues: [VecDeque::new(), VecDeque::new(), VecDeque::new()],
             queued: 0,
             queue_high: 0,
-            inflight: HashMap::new(),
-            idle: BTreeSet::new(),
-            idle_exact: HashMap::new(),
-            idle_base: HashMap::new(),
+            key_ids: HashMap::new(),
+            inflight: Vec::new(),
+            idle: IdleSet::default(),
+            idle_exact: Vec::new(),
+            idle_base: Vec::new(),
+            spare_riders: Vec::new(),
             outcomes: Vec::new(),
             migrations: 0,
             migration_retries: 0,
@@ -1698,9 +1789,19 @@ pub fn run<B: Backend>(
         })
         .collect();
     for (g, (state, res)) in states.into_iter().zip(resident).enumerate() {
-        shards[g % nshards].boards.push(BoardCore {
+        let s = &mut shards[g % nshards];
+        let keys = (res.iter().zip(0..))
+            .map(|(r, region)| match *r {
+                Resident::Variant(v) => s.intern(region, v),
+                Resident::Base | Resident::Unknown => NO_BOARD,
+            })
+            .collect();
+        let regions = s.idle_base.len().max(res.len());
+        s.idle_base.resize_with(regions, IdleSet::default);
+        s.boards.push(BoardCore {
             state,
             resident: res,
+            keys,
             job: None,
             migr: None,
             slots: init_slots(),
@@ -1724,12 +1825,15 @@ pub fn run<B: Backend>(
         let next = shards.iter().filter_map(|s| s.events.peek_at()).min();
         let Some(next) = next else { break };
         let end = next.after_ns(window_ns);
-        let busy: Vec<&mut Shard<B>> = shards
-            .iter_mut()
-            .filter(|s| s.events.peek_at().is_some_and(|at| at < end))
-            .collect();
-        let threads = window_threads(workers, busy.len());
-        jpg::par_map(busy, threads, |s| s.run_until(backend, metrics, end));
+        let is_busy = |s: &Shard<B>| s.events.peek_at().is_some_and(|at| at < end);
+        let threads = window_threads(workers, shards.iter().filter(|s| is_busy(s)).count());
+        let busy = shards.iter_mut().filter(|s| is_busy(s));
+        if threads <= 1 {
+            // The driver runs the window itself: no hand-off to build.
+            busy.for_each(|s| s.run_until(backend, metrics, end));
+        } else {
+            jpg::par_map(busy, threads, |s| s.run_until(backend, metrics, end));
+        }
         stolen += rebalance(&mut shards, end, metrics);
     }
 
@@ -1785,7 +1889,7 @@ pub fn run<B: Backend>(
     }
     let frag_final: u64 = slots_out.iter().map(|s| s.fragmentation() as u64).sum();
     metrics.fragmentation.record_level(frag_final as i64);
-    outcomes.sort_by_key(|o| (o.id, o.payload));
+    let outcomes = sorted_by_id(outcomes);
     log.sort_by_key(|a| (a.0, a.1, a.2));
     let event_log = log
         .into_iter()

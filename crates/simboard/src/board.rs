@@ -35,6 +35,9 @@ pub struct SimBoard {
     /// capability (on by default; turned off to model older boards
     /// that only have the raw readback path).
     digest_readback: bool,
+    /// Frame words read back for a digest reply, recycled across
+    /// [`Xhwif::get_region_digests`] calls.
+    digest_words: Vec<u32>,
 }
 
 impl SimBoard {
@@ -48,6 +51,7 @@ impl SimBoard {
             pad_drives: HashMap::new(),
             user_clocks: 0,
             digest_readback: true,
+            digest_words: Vec::new(),
         }
     }
 
@@ -271,14 +275,11 @@ impl Xhwif for SimBoard {
         // they are folded into digests before anything crosses the
         // port — only `8 * range.len + 8` bytes leave the board.
         let fw = self.port.interpreter().memory().frame_words();
-        let mut words = Vec::with_capacity(range.len * fw);
+        let words = &mut self.digest_words;
+        words.clear();
         Some(
-            bitstream::readback::readback_frames_into(
-                self.port.interpreter_mut(),
-                range,
-                &mut words,
-            )
-            .map(|()| virtex::RegionDigests::from_words(&words, fw)),
+            bitstream::readback::readback_frames_into(self.port.interpreter_mut(), range, words)
+                .map(|()| virtex::RegionDigests::from_words(words, fw)),
         )
     }
 
